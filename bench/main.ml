@@ -6,12 +6,12 @@
      table1    - regenerate the paper's Table 1 (paper vs measured)
      phases    - per-phase analysis timing on the three systems (B1)
      scale     - analysis time vs synthetic core-component size (B2)
-     engines   - legacy dense engine vs sparse worklist engine (B1 + B2)
+     engines   - phase-3 engine time on the systems (B1) and synthetic
+                 programs (B2)
      cache     - content-addressed cache: cold vs warm vs one-function edit
      fleet     - sharded multi-system analysis over a shared cache
                  (analyses/sec cold vs warm, cross-system dedupe)
      ablation  - field/context/control-dependence toggles (B3)
-     summary   - exact vs ESP-style summary engine (B4)
      sim       - closed-loop Simplex scenario outcomes (Figure 1 / §4 narrative)
      ranges    - value-range A1/A2 discharge and control-dependence pruning
      micro     - bechamel microbenchmarks of the substrates
@@ -163,16 +163,15 @@ let jstats prefix (st : stats) =
     (prefix ^ "_stddev_ms", Jfloat st.st_stddev) ]
 
 (* Self-describing records: the semantic-config fingerprint
-   (Digest_ir.semantic_config — engine-independent by construction) ties
+   (Digest_ir.semantic_config) ties
    each record to the exact analysis semantics that produced it, so two
    BENCH files can be compared without guessing at flag drift. *)
 let config_fingerprint (c : Safeflow.Config.t) = Safeflow.Digest_ir.semantic_config c
 
-let jmeta ~benchmark ~engines =
+let jmeta ~benchmark =
   ( "meta",
     Jobj
       [ ("benchmark", Jstr benchmark);
-        ("engines", Jarr (List.map (fun e -> Jstr e) engines));
         ("tool_version", Jstr Safeflow.Version.tool);
         ("ocaml_version", Jstr Sys.ocaml_version);
         ("word_size", Jint Sys.word_size);
@@ -348,7 +347,6 @@ let table1 (o : opts) =
           (Fmt.str "%d/%d" row.p_fps (List.length (Safeflow.Report.control_deps r)));
         Jobj
           [ ("system", Jstr row.p_name);
-            ("engine", Jstr (Safeflow.Config.engine_name Safeflow.Config.default.Safeflow.Config.engine));
             ("config_fingerprint", Jstr (config_fingerprint Safeflow.Config.default));
             ("loc_core", Jint core_loc);
             ("annotations", Jint r.Safeflow.Report.annotation_lines);
@@ -407,7 +405,6 @@ let phases (o : opts) =
         total.st_median total.st_min total.st_mean,
       Jobj
         (("system", Jstr row.p_name)
-        :: ("engine", Jstr (Safeflow.Config.engine_name Safeflow.Config.default.Safeflow.Config.engine))
         :: ("config_fingerprint", Jstr (config_fingerprint Safeflow.Config.default))
         :: (jstats "frontend" f @ jstats "shm_phase1" p1 @ jstats "phase2" p2
            @ jstats "pointsto" pts @ jstats "phase3" p3 @ jstats "total" total)) )
@@ -439,7 +436,6 @@ let scale (o : opts) =
           (List.assoc "phase3_passes" r.Safeflow.Report.stats);
         Jobj
           [ ("workers", Jint n);
-            ("engine", Jstr (Safeflow.Config.engine_name Safeflow.Config.default.Safeflow.Config.engine));
             ("config_fingerprint", Jstr (config_fingerprint Safeflow.Config.default));
             ("loc", Jint loc);
             ("time_ms", Jfloat t);
@@ -451,118 +447,80 @@ let scale (o : opts) =
 
 (* ==================================================== engines ============ *)
 
-(* Legacy dense fixpoint vs sparse worklist engine: same systems (B1) and
-   synthetic programs (B2), asserting report equivalence and recording the
-   speedup.  This is the experiment behind BENCH_phase3.json. *)
+(* Phase-3 stage time on the same systems (B1) and synthetic programs
+   (B2), from shared prepared state.  This is the experiment behind
+   BENCH_phase3.json. *)
 let engines (o : opts) =
   let iters = max 1 o.iters in
-  let legacy_cfg = { Safeflow.Config.default with engine = Safeflow.Config.Legacy } in
-  let worklist_cfg = { Safeflow.Config.default with engine = Safeflow.Config.Worklist } in
+  let config = Safeflow.Config.default in
   let counts (r : Safeflow.Report.t) =
     ( List.length (Safeflow.Report.errors r),
       List.length r.Safeflow.Report.warnings,
       List.length (Safeflow.Report.control_deps r) )
   in
-  (* median phase-3 stage time under each engine, from shared prepared state *)
+  (* median phase-3 stage time, plus the engine's counters *)
   let measure_stage (p : Safeflow.Driver.prepared) =
     let shm = Safeflow.Driver.stage_shm p in
     let p1 = Safeflow.Driver.stage_phase1 p shm in
     let pts = Safeflow.Driver.stage_pointsto p in
-    let sample config =
-      (* warmup: populate allocator/caches and fault code pages so the
-         first timed iteration is not an outlier *)
-      for _ = 1 to 2 do
-        ignore (Safeflow.Driver.stage_phase3 ~config p shm p1 pts)
-      done;
+    (* warmup: populate allocator/caches and fault code pages so the
+       first timed iteration is not an outlier *)
+    for _ = 1 to 2 do
+      ignore (Safeflow.Driver.stage_phase3 ~config p shm p1 pts)
+    done;
+    let t =
       stats_of
         (List.init iters (fun _ ->
              snd (timed (fun () -> Safeflow.Driver.stage_phase3 ~config p shm p1 pts))))
     in
-    let t_legacy = sample legacy_cfg in
-    let t_worklist = sample worklist_cfg in
-    let r3 = Safeflow.Driver.stage_phase3 ~config:worklist_cfg p shm p1 pts in
-    (t_legacy, t_worklist, r3.Safeflow.Phase3.engine_stats)
+    let r3 = Safeflow.Driver.stage_phase3 ~config p shm p1 pts in
+    (t, r3.Safeflow.Phase3.engine_stats)
   in
   let cell (st : stats) = Fmt.str "%.2f/%.2f/%.2f" st.st_median st.st_min st.st_mean in
-  Fmt.pr "@.== Engines: legacy dense fixpoint vs sparse worklist (med/min/mean of %d) ==@.@."
-    iters;
-  Fmt.pr "%-18s %22s %22s %9s %12s %7s@." "input" "legacy(ms)" "worklist(ms)"
-    "speedup" "err/warn/fp" "agree";
+  Fmt.pr "@.== Phase-3 engine time (med/min/mean of %d) ==@.@." iters;
+  Fmt.pr "%-18s %22s %12s@." "input" "phase3(ms)" "err/warn/fp";
   let b1 =
     if o.synth <> None then []
     else
       List.map
-      (fun row ->
-        let path = find ("systems/" ^ row.p_core_file) in
-        let src = read_file path in
-        let rl = (Safeflow.Driver.analyze ~config:legacy_cfg ~file:path src).report in
-        let rw = (Safeflow.Driver.analyze ~config:worklist_cfg ~file:path src).report in
-        let el, wl, fl = counts rl and ew, ww, fw = counts rw in
-        let agree = el = ew && wl = ww && fl = fw in
-        if not agree then
-          Fmt.failwith "engine mismatch on %s: legacy %d/%d/%d vs worklist %d/%d/%d"
-            row.p_name el wl fl ew ww fw;
-        let t_legacy, t_worklist, _ =
-          measure_stage (Safeflow.Driver.prepare_source ~file:path src)
-        in
-        let speedup = t_legacy.st_median /. Float.max 0.001 t_worklist.st_median in
-        Fmt.pr "%-18s %22s %22s %8.2fx %12s %7b@." row.p_name (cell t_legacy)
-          (cell t_worklist) speedup
-          (Fmt.str "%d/%d/%d" el wl fl) agree;
-        Jobj
-          (("system", Jstr row.p_name)
-          :: ("config_fingerprint", Jstr (config_fingerprint legacy_cfg))
-          :: ("engines", Jarr [ Jstr "legacy"; Jstr "worklist" ])
-          :: jstats "legacy" t_legacy
-          @ jstats "worklist" t_worklist
-          @ [ ("speedup", Jfloat speedup);
-              ("errors", Jint el);
-              ("warnings", Jint wl);
-              ("false_positives", Jint fl);
-              ("identical_reports", Jbool agree);
-              jtelemetry (fun () ->
-                  Safeflow.Driver.analyze ~config:worklist_cfg ~file:path src) ]))
-      (selected_rows o)
+        (fun row ->
+          let path = find ("systems/" ^ row.p_core_file) in
+          let src = read_file path in
+          let e, w, f = counts (Safeflow.Driver.analyze ~config ~file:path src).report in
+          let t, _ = measure_stage (Safeflow.Driver.prepare_source ~file:path src) in
+          Fmt.pr "%-18s %22s %12s@." row.p_name (cell t) (Fmt.str "%d/%d/%d" e w f);
+          Jobj
+            (("system", Jstr row.p_name)
+            :: ("config_fingerprint", Jstr (config_fingerprint config))
+            :: jstats "phase3" t
+            @ [ ("errors", Jint e);
+                ("warnings", Jint w);
+                ("false_positives", Jint f);
+                jtelemetry (fun () -> Safeflow.Driver.analyze ~config ~file:path src) ]))
+        (selected_rows o)
   in
   let b2_sizes =
     match o.synth with Some sizes -> sizes | None -> [ 32; 64; 128; 192; 256; 384 ]
   in
-  Fmt.pr "@.%8s %22s %22s %9s %10s %10s@." "workers" "legacy(ms)" "worklist(ms)"
-    "speedup" "passes" "vf_edges";
+  Fmt.pr "@.%8s %22s %10s@." "workers" "phase3(ms)" "vf_edges";
   let b2 =
     List.map
       (fun n ->
-        let src = Safeflow.Synth.of_size ~seed:o.seed n in
-        let rl = (Safeflow.Driver.analyze ~config:legacy_cfg src).report in
-        let rw = (Safeflow.Driver.analyze ~config:worklist_cfg src).report in
-        let el, wl, fl = counts rl and ew, ww, fw = counts rw in
-        if not (el = ew && wl = ww && fl = fw) then
-          Fmt.failwith "engine mismatch on synth %d: legacy %d/%d/%d vs worklist %d/%d/%d"
-            n el wl fl ew ww fw;
-        let passes = List.assoc "phase3_passes" rl.Safeflow.Report.stats in
-        let p = Safeflow.Driver.prepare_source src in
-        let t_legacy, t_worklist, stats = measure_stage p in
+        let p = Safeflow.Driver.prepare_source (Safeflow.Synth.of_size ~seed:o.seed n) in
+        let t, stats = measure_stage p in
         let vf_edges = try List.assoc "vf_edges" stats with Not_found -> 0 in
-        let speedup = t_legacy.st_median /. Float.max 0.001 t_worklist.st_median in
-        Fmt.pr "%8d %22s %22s %8.2fx %10d %10d@." n (cell t_legacy) (cell t_worklist)
-          speedup passes vf_edges;
+        Fmt.pr "%8d %22s %10d@." n (cell t) vf_edges;
         Jobj
           (("workers", Jint n)
-          :: ("config_fingerprint", Jstr (config_fingerprint legacy_cfg))
-          :: ("engines", Jarr [ Jstr "legacy"; Jstr "worklist" ])
-          :: jstats "legacy" t_legacy
-          @ jstats "worklist" t_worklist
-          @ [ ("legacy_passes", Jint passes);
-              ("vf_edges", Jint vf_edges);
-              ("speedup", Jfloat speedup);
-              ("identical_reports", Jbool true) ]))
+          :: ("config_fingerprint", Jstr (config_fingerprint config))
+          :: jstats "phase3" t
+          @ [ ("vf_edges", Jint vf_edges) ]))
       b2_sizes
   in
-  Fmt.pr "@.(reports are asserted identical under both engines on every input)@.";
   write_json o
     (Jobj
-       [ ("benchmark", Jstr "phase3 engines: legacy dense fixpoint vs sparse worklist");
-         jmeta ~benchmark:"engines" ~engines:[ "legacy"; "worklist" ];
+       [ ("benchmark", Jstr "phase3 engine time");
+         jmeta ~benchmark:"engines";
          ("iters", Jint iters);
          ("seed", Jint o.seed);
          ("b1_systems", Jarr b1);
@@ -590,94 +548,87 @@ let cache_bench (o : opts) =
         (fun n -> (Fmt.str "synth-%d" n, Safeflow.Synth.of_size n))
         [ 32; 64; 128; 192; 256; 384 ]
   in
-  let engines =
-    [ ("legacy", { Safeflow.Config.default with engine = Safeflow.Config.Legacy });
-      ("worklist", { Safeflow.Config.default with engine = Safeflow.Config.Worklist }) ]
-  in
+  let config = Safeflow.Config.default in
   Fmt.pr "@.== Cache: cold vs warm vs one-function edit (med/min/mean of %d) ==@.@."
     iters;
-  Fmt.pr "%-18s %-9s %20s %20s %20s %9s %10s@." "input" "engine" "cold(ms)" "warm(ms)"
-    "dirty(ms)" "speedup" "identical";
+  Fmt.pr "%-18s %20s %20s %20s %9s %10s@." "input" "cold(ms)" "warm(ms)" "dirty(ms)"
+    "speedup" "identical";
   let cell (st : stats) = Fmt.str "%.1f/%.1f/%.1f" st.st_median st.st_min st.st_mean in
   let rows =
-    List.concat_map
+    List.map
       (fun (name, src) ->
-        List.map
-          (fun (ename, config) ->
-            let report src cache =
-              (Safeflow.Driver.analyze ~config ?cache src).Safeflow.Driver.report
-            in
-            let baseline = report src None in
-            let dirty_src = src ^ probe in
-            let dirty_baseline = report dirty_src None in
-            (* cold: every sample starts from an empty cache *)
-            let cold_ok = ref true in
-            let cold =
-              stats_of
-                (List.init iters (fun _ ->
-                     let c = Safeflow.Cache.create () in
-                     let r, t = timed (fun () -> report src (Some c)) in
-                     if r <> baseline then cold_ok := false;
-                     t))
-            in
-            (* warm: one untimed priming run, then timed reruns against the
-               populated cache *)
-            let warm_ok = ref true in
-            let c = Safeflow.Cache.create () in
-            ignore (report src (Some c));
-            let warm =
-              stats_of
-                (List.init iters (fun _ ->
-                     let r, t = timed (fun () -> report src (Some c)) in
-                     if r <> baseline then warm_ok := false;
-                     t))
-            in
-            (* dirty: prime a fresh cache with the unedited source (untimed),
-               then analyze the edited source against it *)
-            let dirty_ok = ref true in
-            let dirty =
-              stats_of
-                (List.init iters (fun _ ->
-                     let c = Safeflow.Cache.create () in
-                     ignore (report src (Some c));
-                     let r, t = timed (fun () -> report dirty_src (Some c)) in
-                     if r <> dirty_baseline then dirty_ok := false;
-                     t))
-            in
-            let speedup = cold.st_median /. Float.max 0.001 warm.st_median in
-            let identical = !cold_ok && !warm_ok && !dirty_ok in
-            Fmt.pr "%-18s %-9s %20s %20s %20s %8.1fx %10b@." name ename (cell cold)
-              (cell warm) (cell dirty) speedup identical;
-            ( (name, ename, speedup, identical),
-              Jobj
-                (("input", Jstr name) :: ("engine", Jstr ename)
-                :: ("config_fingerprint", Jstr (config_fingerprint config))
-                :: jstats "cold" cold
-                @ jstats "warm" warm
-                @ jstats "dirty" dirty
-                @ [ ("warm_speedup", Jfloat speedup);
-                    ("identical_cold", Jbool !cold_ok);
-                    ("identical_warm", Jbool !warm_ok);
-                    ("identical_dirty", Jbool !dirty_ok);
-                    ("identical_reports", Jbool identical);
-                    (* warm-rerun counters: cache.*.hits should dominate *)
-                    jtelemetry (fun () -> report src (Some c)) ]) ))
-          engines)
+        let report src cache =
+          (Safeflow.Driver.analyze ~config ?cache src).Safeflow.Driver.report
+        in
+        let baseline = report src None in
+        let dirty_src = src ^ probe in
+        let dirty_baseline = report dirty_src None in
+        (* cold: every sample starts from an empty cache *)
+        let cold_ok = ref true in
+        let cold =
+          stats_of
+            (List.init iters (fun _ ->
+                 let c = Safeflow.Cache.create () in
+                 let r, t = timed (fun () -> report src (Some c)) in
+                 if r <> baseline then cold_ok := false;
+                 t))
+        in
+        (* warm: one untimed priming run, then timed reruns against the
+           populated cache *)
+        let warm_ok = ref true in
+        let c = Safeflow.Cache.create () in
+        ignore (report src (Some c));
+        let warm =
+          stats_of
+            (List.init iters (fun _ ->
+                 let r, t = timed (fun () -> report src (Some c)) in
+                 if r <> baseline then warm_ok := false;
+                 t))
+        in
+        (* dirty: prime a fresh cache with the unedited source (untimed),
+           then analyze the edited source against it *)
+        let dirty_ok = ref true in
+        let dirty =
+          stats_of
+            (List.init iters (fun _ ->
+                 let c = Safeflow.Cache.create () in
+                 ignore (report src (Some c));
+                 let r, t = timed (fun () -> report dirty_src (Some c)) in
+                 if r <> dirty_baseline then dirty_ok := false;
+                 t))
+        in
+        let speedup = cold.st_median /. Float.max 0.001 warm.st_median in
+        let identical = !cold_ok && !warm_ok && !dirty_ok in
+        Fmt.pr "%-18s %20s %20s %20s %8.1fx %10b@." name (cell cold) (cell warm)
+          (cell dirty) speedup identical;
+        ( (name, speedup, identical),
+          Jobj
+            (("input", Jstr name)
+            :: ("config_fingerprint", Jstr (config_fingerprint config))
+            :: jstats "cold" cold
+            @ jstats "warm" warm
+            @ jstats "dirty" dirty
+            @ [ ("warm_speedup", Jfloat speedup);
+                ("identical_cold", Jbool !cold_ok);
+                ("identical_warm", Jbool !warm_ok);
+                ("identical_dirty", Jbool !dirty_ok);
+                ("identical_reports", Jbool identical);
+                (* warm-rerun counters: cache.*.hits should dominate *)
+                jtelemetry (fun () -> report src (Some c)) ]) ))
       inputs
   in
-  let all_identical = List.for_all (fun ((_, _, _, ok), _) -> ok) rows in
+  let all_identical = List.for_all (fun ((_, _, ok), _) -> ok) rows in
   let headline =
     List.filter_map
-      (fun ((name, ename, speedup, _), _) ->
-        if name = "synth-384" then Some (ename ^ "_warm_speedup", Jfloat speedup)
-        else None)
+      (fun ((name, speedup, _), _) ->
+        if name = "synth-384" then Some ("warm_speedup", Jfloat speedup) else None)
       rows
   in
   Fmt.pr "@.(every report above is structurally identical to a cache-less analysis)@.";
   write_json o
     (Jobj
        [ ("benchmark", Jstr "content-addressed cache: cold vs warm vs one-function edit");
-         jmeta ~benchmark:"cache" ~engines:[ "legacy"; "worklist" ];
+         jmeta ~benchmark:"cache";
          ("iters", Jint iters);
          ("identical_reports", Jbool all_identical);
          ("headline", Jobj (("input", Jstr "synth-384") :: headline));
@@ -835,7 +786,7 @@ let fleet_bench (o : opts) =
     (Jobj
        [ ("benchmark",
           Jstr "fleet: sharded multi-system analysis over a shared content-addressed cache");
-         jmeta ~benchmark:"fleet" ~engines:[ "worklist" ];
+         jmeta ~benchmark:"fleet";
          ("seed", Jint seed);
          ("fleet", Jarr rows);
          ("jobs_sweep", Jarr sweep) ])
@@ -942,45 +893,6 @@ int main() { initShm(); sendControl(monitorA(reg)); return 0; }
   Fmt.pr "(the field probe's covered read starts warning); dropping control-@.";
   Fmt.pr "dependence tracking silences the paper's false-positive class.@."
 
-(* ==================================================== summary (B4) ======= *)
-
-let summary (_o : opts) =
-  Fmt.pr "@.== B4: exact vs summary engine (paper §3.3's ESP optimization) ==@.@.";
-  Fmt.pr "The exact engine re-analyzes each function per monitoring context@.";
-  Fmt.pr "(exponential worst case); the summary engine inlines per-function@.";
-  Fmt.pr "value-flow summaries in a single bottom-up pass.@.@.";
-  (* equivalence on the subject systems *)
-  Fmt.pr "%-20s %18s %18s %10s@." "input" "exact warn/err" "summary warn/err" "agree";
-  List.iter
-    (fun row ->
-      let path = find ("systems/" ^ row.p_core_file) in
-      let src = read_file path in
-      let exact = (Safeflow.Driver.analyze ~file:path src).Safeflow.Driver.report in
-      let rs, _ = Safeflow.Driver.analyze_summary ~file:path src in
-      let we = List.length exact.Safeflow.Report.warnings
-      and ee = List.length (Safeflow.Report.errors exact)
-      and ws = List.length rs.Safeflow.Report.warnings
-      and es = List.length (Safeflow.Report.errors rs) in
-      Fmt.pr "%-20s %14d/%-3d %14d/%-3d %10b@." row.p_name we ee ws es
-        (we = ws && ee = es))
-    paper_rows;
-  (* the exponential case: a binary tree of monitoring functions *)
-  Fmt.pr "@.%8s %8s %12s %12s %10s@." "depth" "contexts" "exact(ms)" "summary(ms)" "speedup";
-  List.iter
-    (fun depth ->
-      let src = Safeflow.Synth.context_explosion ~depth in
-      let a, t_exact = time_ms (fun () -> Safeflow.Driver.analyze src) in
-      let _, t_sum = time_ms (fun () -> Safeflow.Driver.analyze_summary src) in
-      let ctxs =
-        List.assoc "phase3_contexts" a.Safeflow.Driver.report.Safeflow.Report.stats
-      in
-      Fmt.pr "%8d %8d %12.1f %12.1f %9.1fx@." depth ctxs t_exact t_sum
-        (t_exact /. Float.max 0.01 t_sum))
-    [ 2; 4; 6; 8; 10 ];
-  Fmt.pr "@.(both engines report identical warnings and error dependencies on@.";
-  Fmt.pr "every input above; the summary engine does not classify control-only@.";
-  Fmt.pr "dependencies — ESP summaries capture data flow)@."
-
 (* ==================================================== sim (F1/E1) ======== *)
 
 let sim (_o : opts) =
@@ -1055,13 +967,13 @@ int main()
 }
 |}
 
-(* Value-range discharge experiment (BENCH_ranges.json): per system and
-   engine, the A1/A2 bounds obligations broken down by discharge method
-   (range analysis alone vs Omega), the Omega queries avoided, and
-   phase-2 wall time with the range analysis on and off — plus the
-   report-level guarantee that the on-findings are a fingerprint-subset
-   of the off-findings.  The clamp synthetic demonstrates the phase-3
-   control-dependence pruning under both engines. *)
+(* Value-range discharge experiment (BENCH_ranges.json): per system, the
+   A1/A2 bounds obligations broken down by discharge method (range
+   analysis alone vs Omega), the Omega queries avoided, and phase-2 wall
+   time with the range analysis on and off — plus the report-level
+   guarantee that the on-findings are a fingerprint-subset of the
+   off-findings.  The clamp synthetic demonstrates the phase-3
+   control-dependence pruning. *)
 let ranges_bench (o : opts) =
   Fmt.pr "@.== value-range discharge: A1/A2 obligations and phase-2 time ==@.@.";
   let sys_files =
@@ -1075,97 +987,76 @@ let ranges_bench (o : opts) =
     List.sort_uniq compare
       (List.map fst (Safeflow.Fingerprint.of_report ctx a.Safeflow.Driver.report))
   in
-  Fmt.pr "%-20s %-8s %-6s %6s %7s %6s %7s %8s %11s %7s@." "system" "engine"
-    "absint" "oblig" "ranges" "omega" "failed" "avoided" "phase2 ms" "subset";
+  Fmt.pr "%-20s %-6s %6s %7s %6s %7s %8s %11s %7s@." "system" "absint" "oblig" "ranges"
+    "omega" "failed" "avoided" "phase2 ms" "subset";
   let records =
     List.concat_map
       (fun file ->
         let path = find ("systems/" ^ file) in
         let src = read_file path in
-        List.concat_map
-          (fun engine ->
-            let analyze absint =
-              let config = { Safeflow.Config.default with engine; absint } in
-              Safeflow.Driver.analyze ~config ~file:path src
+        let analyze absint =
+          let config = { Safeflow.Config.default with absint } in
+          Safeflow.Driver.analyze ~config ~file:path src
+        in
+        let a_on = analyze true and a_off = analyze false in
+        let fps_on = fingerprints a_on and fps_off = fingerprints a_off in
+        let is_subset = List.for_all (fun fp -> List.mem fp fps_off) fps_on in
+        List.map
+          (fun absint ->
+            let config = { Safeflow.Config.default with absint } in
+            let a = if absint then a_on else a_off in
+            let p = a.Safeflow.Driver.prepared in
+            let shm = Safeflow.Driver.stage_shm p in
+            let p1 = Safeflow.Driver.stage_phase1 ~config p shm in
+            let ai = Safeflow.Driver.stage_absint ~config p in
+            let samples =
+              List.init o.iters (fun _ ->
+                  snd (timed (fun () -> Safeflow.Driver.stage_phase2 ~config ?absint:ai p p1)))
             in
-            let a_on = analyze true and a_off = analyze false in
-            let fps_on = fingerprints a_on and fps_off = fingerprints a_off in
-            let is_subset =
-              List.for_all (fun fp -> List.mem fp fps_off) fps_on
+            let b = a.Safeflow.Driver.coverage.Safeflow.Coverage.cov_bounds in
+            let ctrl_deps =
+              List.length (Safeflow.Report.control_deps a.Safeflow.Driver.report)
             in
-            List.map
-              (fun absint ->
-                let config = { Safeflow.Config.default with engine; absint } in
-                let a = if absint then a_on else a_off in
-                let p = a.Safeflow.Driver.prepared in
-                let shm = Safeflow.Driver.stage_shm p in
-                let p1 = Safeflow.Driver.stage_phase1 ~config p shm in
-                let ai = Safeflow.Driver.stage_absint ~config p in
-                let samples =
-                  List.init o.iters (fun _ ->
-                      snd
-                        (timed (fun () ->
-                             Safeflow.Driver.stage_phase2 ~config ?absint:ai p p1)))
-                in
-                let b =
-                  a.Safeflow.Driver.coverage.Safeflow.Coverage.cov_bounds
-                in
-                let ctrl_deps =
-                  List.length (Safeflow.Report.control_deps a.Safeflow.Driver.report)
-                in
-                let st = stats_of samples in
-                Fmt.pr "%-20s %-8s %-6s %6d %7d %6d %7d %8d %11.2f %7b@." file
-                  (Safeflow.Config.engine_name engine)
-                  (if absint then "on" else "off")
-                  b.Safeflow.Phase2.bs_total b.Safeflow.Phase2.bs_ranges
-                  b.Safeflow.Phase2.bs_omega b.Safeflow.Phase2.bs_failed
-                  b.Safeflow.Phase2.bs_omega_avoided st.st_median is_subset;
-                Jobj
-                  ([ ("system", Jstr file);
-                     ("engine", Jstr (Safeflow.Config.engine_name engine));
-                     ("absint", Jbool absint);
-                     ("config_fingerprint", Jstr (config_fingerprint config));
-                     ("a1a2_obligations", Jint b.Safeflow.Phase2.bs_total);
-                     ("a1a2_by_ranges", Jint b.Safeflow.Phase2.bs_ranges);
-                     ("a1a2_by_omega", Jint b.Safeflow.Phase2.bs_omega);
-                     ("a1a2_failed", Jint b.Safeflow.Phase2.bs_failed);
-                     ("omega_queries_avoided",
-                      Jint b.Safeflow.Phase2.bs_omega_avoided);
-                     ("control_only_deps", Jint ctrl_deps);
-                     ("findings", Jint (List.length fps_on));
-                     ("findings_on_subset_of_off", Jbool is_subset) ]
-                  @ jstats "phase2" st))
-              [ true; false ])
-          [ Safeflow.Config.Legacy; Safeflow.Config.Worklist ])
+            let st = stats_of samples in
+            Fmt.pr "%-20s %-6s %6d %7d %6d %7d %8d %11.2f %7b@." file
+              (if absint then "on" else "off")
+              b.Safeflow.Phase2.bs_total b.Safeflow.Phase2.bs_ranges
+              b.Safeflow.Phase2.bs_omega b.Safeflow.Phase2.bs_failed
+              b.Safeflow.Phase2.bs_omega_avoided st.st_median is_subset;
+            Jobj
+              ([ ("system", Jstr file);
+                 ("absint", Jbool absint);
+                 ("config_fingerprint", Jstr (config_fingerprint config));
+                 ("a1a2_obligations", Jint b.Safeflow.Phase2.bs_total);
+                 ("a1a2_by_ranges", Jint b.Safeflow.Phase2.bs_ranges);
+                 ("a1a2_by_omega", Jint b.Safeflow.Phase2.bs_omega);
+                 ("a1a2_failed", Jint b.Safeflow.Phase2.bs_failed);
+                 ("omega_queries_avoided", Jint b.Safeflow.Phase2.bs_omega_avoided);
+                 ("control_only_deps", Jint ctrl_deps);
+                 ("findings", Jint (List.length fps_on));
+                 ("findings_on_subset_of_off", Jbool is_subset) ]
+              @ jstats "phase2" st))
+          [ true; false ])
       sys_files
   in
   Fmt.pr "@.-- clamp synthetic: control-dependence pruning --@.";
-  let demo =
-    List.map
-      (fun engine ->
-        let deps absint =
-          let config = { Safeflow.Config.default with engine; absint } in
-          List.length
-            (Safeflow.Report.control_deps
-               (Safeflow.Driver.analyze ~config ~file:"clamp_demo.c"
-                  clamp_demo_src)
-                 .Safeflow.Driver.report)
-        in
-        let off_deps = deps false and on_deps = deps true in
-        Fmt.pr "clamp demo (%s): C-CONTROL-DEP %d -> %d with ranges@."
-          (Safeflow.Config.engine_name engine)
-          off_deps on_deps;
-        Jobj
-          [ ("engine", Jstr (Safeflow.Config.engine_name engine));
-            ("control_only_deps_off", Jint off_deps);
-            ("control_only_deps_on", Jint on_deps) ])
-      [ Safeflow.Config.Legacy; Safeflow.Config.Worklist ]
+  let deps absint =
+    let config = { Safeflow.Config.default with absint } in
+    List.length
+      (Safeflow.Report.control_deps
+         (Safeflow.Driver.analyze ~config ~file:"clamp_demo.c" clamp_demo_src)
+           .Safeflow.Driver.report)
   in
+  let off_deps = deps false and on_deps = deps true in
+  Fmt.pr "clamp demo: C-CONTROL-DEP %d -> %d with ranges@." off_deps on_deps;
   write_json o
     (Jobj
-       [ jmeta ~benchmark:"ranges" ~engines:[ "legacy"; "worklist" ];
+       [ jmeta ~benchmark:"ranges";
          ("systems", Jarr records);
-         ("clamp_demo", Jarr demo) ])
+         ( "clamp_demo",
+           Jobj
+             [ ("control_only_deps_off", Jint off_deps);
+               ("control_only_deps_on", Jint on_deps) ] ) ])
 
 (* ==================================================== micro ============== *)
 
@@ -1253,7 +1144,7 @@ let () =
   if which = "diff" then diff_cmd opts;
   let all = [ ("table1", table1); ("phases", phases); ("scale", scale);
               ("engines", engines); ("cache", cache_bench); ("fleet", fleet_bench);
-              ("ablation", ablation); ("summary", summary); ("sim", sim);
+              ("ablation", ablation); ("sim", sim);
               ("ranges", ranges_bench); ("micro", micro) ] in
   match List.assoc_opt which all with
   | Some f -> f opts

@@ -63,7 +63,6 @@ type t = {
   pts : (key, Tset.t) Hashtbl.t;
   heap : (Node.t, Tset.t) Hashtbl.t;
   prog : Ssair.Ir.program;
-  shm_regions : (string, unit) Hashtbl.t;  (** globals treated as shm region handles *)
 }
 
 let pts_get t k = Option.value ~default:Tset.empty (Hashtbl.find_opt t.pts k)
@@ -197,26 +196,9 @@ let transfer_phis t (f : Ssair.Ir.func) (b : Ssair.Ir.block) : bool =
       else changed)
     false b.Ssair.Ir.phis
 
-(** Initial facts from global variables that hold pointers initialized by
-    other globals (rare; conservative). *)
-let seed_globals t =
-  List.iter
-    (fun (name, ty, _) ->
-      ignore name;
-      ignore ty)
-    t.prog.Ssair.Ir.globals
-
 (** Run the analysis to fixpoint. *)
 let analyze (prog : Ssair.Ir.program) : t =
-  let t =
-    {
-      pts = Hashtbl.create 256;
-      heap = Hashtbl.create 64;
-      prog;
-      shm_regions = Hashtbl.create 8;
-    }
-  in
-  seed_globals t;
+  let t = { pts = Hashtbl.create 256; heap = Hashtbl.create 64; prog } in
   let changed = ref true in
   while !changed do
     changed := false;

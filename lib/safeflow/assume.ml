@@ -1,6 +1,6 @@
 (** Resolution of [assume(core(...))] annotations into monitoring
-    assumptions — shared by the exact (per-context) phase 3 engine, the
-    summary engine and the dynamic taint tracker. *)
+    assumptions — shared by phase 3's monitoring contexts and the
+    coverage metrics. *)
 
 open Minic
 module Offset = Pointsto.Offset

@@ -3,7 +3,7 @@
    Both files are parsed with Jsonlite; every top-level array of
    objects ("b1_systems", "fleet", "jobs_sweep", ...) contributes rows.
    Rows are matched by an identity key — the array name plus the row's
-   discriminating fields (system/input/engine/jobs/..., including the
+   discriminating fields (system/input/workers/jobs/..., including the
    semantic-config fingerprint, so rows from semantically different
    configurations never get compared).  Within a matched pair only
    time-like metrics are judged:
@@ -46,8 +46,8 @@ type verdict = {
    measuring it.  Order fixed so keys are stable. *)
 let identity_fields =
   [
-    "system"; "input"; "engine"; "engines"; "systems"; "jobs"; "shard_domains";
-    "workers_per_member"; "depth"; "absint"; "overlap"; "dup"; "seed";
+    "system"; "input"; "engine"; "engines"; "systems"; "workers"; "jobs";
+    "shard_domains"; "workers_per_member"; "depth"; "absint"; "overlap"; "dup"; "seed";
     "config_fingerprint";
   ]
 

@@ -22,8 +22,11 @@
    swapped or damaged after the header was written is detected as
    corrupt instead of unmarshalling into the wrong value; and the
    "absint" func_summary layout gained the raw (pre-promotion) return
-   join that certificate emission records. *)
-let format_version = 7
+   join that certificate emission records.
+   Version 8: the "pointsto" result record lost its unused region-handle
+   table, changing its marshalled layout; the "phase3" key no longer
+   names an engine.  Headers and payload digests are as in version 7. *)
+let format_version = 8
 
 let magic = "SAFEFLOW-CACHE"
 

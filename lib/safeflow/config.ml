@@ -3,21 +3,6 @@
     The defaults correspond to the paper's tool; the toggles exist for the
     ablation benchmarks (B3) and for debugging. *)
 
-(** Phase-3 engine selection.  Both engines produce the same warnings,
-    violations and dependency classifications; they differ in cost model:
-    [Legacy] re-scans every discovered (function, context) pair until no
-    taint changes (simple, quadratic-ish in taint growth), [Worklist]
-    builds an explicit value-flow graph per pair once and propagates
-    taint sparsely along its edges (see {!Vfgraph}). *)
-type engine = Legacy | Worklist
-
-let engine_name = function Legacy -> "legacy" | Worklist -> "worklist"
-
-let engine_of_string = function
-  | "legacy" -> Some Legacy
-  | "worklist" -> Some Worklist
-  | _ -> None
-
 type t = {
   field_sensitive : bool;
       (** track byte offsets into shared-memory regions; off = treat every
@@ -37,14 +22,6 @@ type t = {
   recv_functions : string list;
       (** message-passing extension (§3.4.3): extern receive calls whose
           buffer argument is tainted when the socket is non-core *)
-  engine : engine;
-      (** phase-3 propagation engine; [Legacy] is the paper-shaped dense
-          fixpoint, [Worklist] (the default) the sparse value-flow-graph
-          engine *)
-  pair_domains : int;
-      (** worklist engine: domains used to build (function, context)
-          value-flow edge blocks in parallel; 1 = sequential, 0 = one per
-          hardware thread.  Reports are identical for any value. *)
   verbose : bool;
       (** emit one-line diagnostics to stderr for otherwise-silent
           recoveries (stale/corrupt cache entries); never changes
@@ -61,8 +38,6 @@ type t = {
 
 let default =
   {
-    engine = Worklist;
-    pair_domains = 1;
     verbose = false;
     absint = true;
     field_sensitive = true;

@@ -17,8 +17,7 @@ let combine ds = Digest.to_hex (Digest.string (String.concat "\x00" ds))
 
 let source_key ?(file = "<input>") src = of_value (file, src)
 
-(* [engine] and [pair_domains] deliberately omitted: they do not change
-   reports, so phase-1/2 and points-to entries are shared across them. *)
+(* [verbose] deliberately omitted: it never changes reports. *)
 let semantic_config (c : Config.t) =
   of_value
     ( c.Config.field_sensitive,

@@ -33,9 +33,8 @@ val source_key : ?file:string -> string -> string
 
 val semantic_config : Config.t -> string
 (** fingerprint of the {e semantic} configuration fields — the ones that
-    change analysis results.  [engine] and [pair_domains] are excluded:
-    both engines produce identical reports, so their cached phase-1/2
-    results are shared. *)
+    change analysis results.  [verbose] is excluded: it never changes
+    reports. *)
 
 val of_program : Ssair.Ir.program -> t
 

@@ -145,12 +145,10 @@ let stage_phase2 ?config ?cache ?digests ?absint (p : prepared) (p1 : Phase1.t) 
 (* Whole-result phase-3 tier, keyed at program granularity: the
    report-visible lists verbatim (order preserved) plus the taint tables
    as association lists, from which a fresh state is rebuilt for the VFG
-   export.  A warm rerun of an unchanged program under either engine
-   restores from here and skips propagation entirely.  The legacy engine
-   has no finer-grained build step to cache; the worklist engine
-   additionally caches per-pair edge blocks inside {!Vfgraph.run}, so an
-   edit that misses this tier still rebuilds only the edited functions'
-   dependent pairs. *)
+   export.  A warm rerun of an unchanged program restores from here and
+   skips propagation entirely.  {!Vfgraph.run} additionally caches
+   per-pair edge blocks, so an edit that misses this tier still rebuilds
+   only the edited functions' dependent pairs. *)
 type phase3_cached = {
   lc_warnings : Report.warning list;
   lc_dependencies : Report.dependency list;
@@ -162,22 +160,15 @@ type phase3_cached = {
   lc_warn_tbl : ((Minic.Loc.t * string) * Report.warning) list;
 }
 
-let phase3_whole ~config ~tag ?cache ?digests ?absint (p : prepared) (shm : Shm.t)
-    (p1 : Phase1.t) (pts : Pointsto.t) (runner : unit -> Phase3.result) : Phase3.result =
-  let key =
-    match digests with
-    | Some (d : Digest_ir.t) ->
-      Some
-        (Digest_ir.combine [ d.Digest_ir.program; Digest_ir.semantic_config config; tag ])
-    | None -> None
-  in
+let stage_phase3 ?(config = Config.default) ?cache ?digests ?absint (p : prepared)
+    (shm : Shm.t) (p1 : Phase1.t) (pts : Pointsto.t) : Phase3.result =
+  let runner () = Vfgraph.run ~config ?cache ?digests ?absint p.ir shm p1 pts in
   let restore (lc : phase3_cached) : Phase3.result =
     let st = Phase3.make_state ~config ?absint p.ir shm p1 pts in
     List.iter (fun (e, o) -> Hashtbl.replace st.Phase3.data e o) lc.lc_data;
     List.iter (fun (e, o) -> Hashtbl.replace st.Phase3.ctrl e o) lc.lc_ctrl;
     List.iter (fun pr -> Hashtbl.replace st.Phase3.pairs pr ()) lc.lc_pairs;
     List.iter (fun (k, w) -> Hashtbl.replace st.Phase3.warnings k w) lc.lc_warn_tbl;
-    st.Phase3.passes <- lc.lc_passes;
     {
       Phase3.warnings = lc.lc_warnings;
       dependencies = lc.lc_dependencies;
@@ -187,8 +178,9 @@ let phase3_whole ~config ~tag ?cache ?digests ?absint (p : prepared) (shm : Shm.
       taint_state = st;
     }
   in
-  match (cache, key) with
-  | Some c, Some key -> (
+  match (cache, digests) with
+  | Some c, Some (d : Digest_ir.t) -> (
+    let key = Digest_ir.combine [ d.Digest_ir.program; Digest_ir.semantic_config config ] in
     match (Cache.find c ~ns:"phase3" ~key : phase3_cached option) with
     | Some lc -> restore lc
     | None ->
@@ -208,16 +200,6 @@ let phase3_whole ~config ~tag ?cache ?digests ?absint (p : prepared) (shm : Shm.
         };
       r)
   | _ -> runner ()
-
-let stage_phase3 ?(config = Config.default) ?cache ?digests ?absint (p : prepared)
-    (shm : Shm.t) (p1 : Phase1.t) (pts : Pointsto.t) : Phase3.result =
-  match config.Config.engine with
-  | Config.Legacy ->
-    phase3_whole ~config ~tag:"legacy" ?cache ?digests ?absint p shm p1 pts (fun () ->
-        Phase3.run ~config ?absint p.ir shm p1 pts)
-  | Config.Worklist ->
-    phase3_whole ~config ~tag:"worklist" ?cache ?digests ?absint p shm p1 pts (fun () ->
-        Vfgraph.run ~config ?cache ?digests ?absint p.ir shm p1 pts)
 
 (* -- One-shot analysis ------------------------------------------------------------ *)
 
@@ -242,8 +224,7 @@ type analysis = {
 (* The emission sites already sort by (file, line, code); this final
    (file, line, fingerprint) sort also covers results restored from a
    cache written by an older layout, making printed and serialized
-   output byte-identical across {engines} x {cache states} x
-   {parallelism}. *)
+   output byte-identical across {cache states} x {parallelism}. *)
 let canonicalize (fctx : Fingerprint.ctx) (r : Report.t) : Report.t =
   let by_fp to_finding natural a b =
     let c = Report.compare_loc (Fingerprint.loc (to_finding a)) (Fingerprint.loc (to_finding b)) in
@@ -275,8 +256,7 @@ let canonicalize (fctx : Fingerprint.ctx) (r : Report.t) : Report.t =
   }
 
 (** The function universe phase 3 actually analyzed: discovered pairs
-    minus exempt functions (identical for both engines — asserted by
-    [test_engine_equiv.ml]'s pair-count check). *)
+    minus exempt functions. *)
 let analyzed_functions (ph3 : Phase3.result) (p1 : Phase1.t) : string list =
   let seen = Hashtbl.create 32 in
   Hashtbl.iter
@@ -341,9 +321,7 @@ let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
         | _ -> stage_pointsto p)
   in
   let ph3 =
-    Telemetry.span "phase3"
-      ~args:[ ("engine", Config.engine_name config.Config.engine) ]
-      (fun () -> stage_phase3 ~config ?cache ?digests ?absint p shm p1 pts)
+    Telemetry.span "phase3" (fun () -> stage_phase3 ~config ?cache ?digests ?absint p shm p1 pts)
   in
   let fctx = Fingerprint.ctx_of_program p.ir in
   let report =
@@ -426,34 +404,3 @@ let analyze_files_par ?config ?cache (paths : string list) : analysis list =
          | Some (Error e) -> raise e
          | None -> assert false)
   end
-
-(** Summary-engine variant of phase 3 (paper §3.3's ESP-style
-    optimization): single bottom-up pass with per-function value-flow
-    summaries.  Warnings match the exact engine; dependencies are data
-    only (no control-dependence classification). *)
-let stage_summary ?config (p : prepared) (shm : Shm.t) (p1 : Phase1.t) (pts : Pointsto.t) :
-    Summary.result =
-  Summary.run ?config p.ir shm p1 pts
-
-(** One-shot analysis with the summary engine. *)
-let analyze_summary ?(config = Config.default) ?file (src : string) :
-    Report.t * Summary.result =
-  let p = prepare_source ?file src in
-  let shm = stage_shm p in
-  let p1 = stage_phase1 ~config p shm in
-  let absint = stage_absint ~config p in
-  let ph2 = stage_phase2 ~config ?absint p p1 in
-  let pts = stage_pointsto p in
-  let s = stage_summary ~config p shm p1 pts in
-  ( canonicalize (Fingerprint.ctx_of_program p.ir)
-      {
-        Report.violations = ph2.Phase2.violations;
-        warnings = s.Summary.warnings;
-        dependencies = s.Summary.dependencies;
-        infos = (if config.Config.verbose then ph2.Phase2.infos else []);
-        regions =
-          List.map (fun r -> (r.Shm.r_name, r.Shm.r_size, r.Shm.r_noncore)) shm.Shm.regions;
-        annotation_lines = p.annotation_lines;
-        stats = [ ("loc", p.loc_total); ("summary_passes", s.Summary.passes) ];
-      },
-    s )

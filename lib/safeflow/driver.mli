@@ -92,13 +92,3 @@ val analyze_files_par : ?config:Config.t -> ?cache:Cache.t -> string list -> ana
     thread, bounded by [Domain.recommended_domain_count]); results are
     returned in input order.  A shared [~cache] is safe: all cache
     operations are mutex-guarded. *)
-
-(** {1 Summary engine (paper §3.3's ESP-style optimization)} *)
-
-val stage_summary :
-  ?config:Config.t -> prepared -> Shm.t -> Phase1.t -> Pointsto.t -> Summary.result
-
-val analyze_summary :
-  ?config:Config.t -> ?file:string -> string -> Report.t * Summary.result
-(** one-shot analysis using per-function value-flow summaries; warnings
-    match {!analyze}, dependencies are data-flow only *)

@@ -1,6 +1,6 @@
 (** Interning (hash-consing) support for the sparse phase-3 engine.
 
-    The legacy engine keys its taint tables by structural values —
+    A dense fixpoint keys its taint tables by structural values —
     [(string * assumption list * vid)] tuples — so every membership test
     structurally hashes a monitoring context.  This module maps such
     values to dense integer ids once, after which membership is an array

@@ -14,7 +14,13 @@
     unsafe values is tracked separately (implicit flows through phis,
     conditional sinks and conditional stores) and reported as
     [Control_only] — the class the paper identifies as candidate false
-    positives requiring value-flow-graph review (§3.4.1). *)
+    positives requiring value-flow-graph review (§3.4.1).
+
+    This module holds what the propagation engine ({!Vfgraph}) shares
+    with the rest of the tool: monitoring contexts, taint entities, the
+    analysis state it fills, the root pairs it starts from, and the
+    dependency collection that turns its final taint state into
+    findings. *)
 
 open Minic
 module Offset = Pointsto.Offset
@@ -68,10 +74,10 @@ type origin = { parent : entity option; why : string }
 (** Per-function control-dependence facts that do not depend on the
     monitoring context or the taint state: the undecided register-cond
     branches, and per branch block the transitive closure of the CDG
-    "controls" relation.  Memoized in {!state} ([brinfos]) — the legacy
-    engine recomputes {!block_control_taint} per (pair, pass) and
-    {!collect_dependencies} per pair, and only the branch conditions'
-    taint is dynamic. *)
+    "controls" relation.  Memoized in {!state} ([brinfos]): the engine
+    turns it into control edges once per pair, {!collect_dependencies}
+    consults it per pair, and only the branch conditions' taint is
+    dynamic. *)
 type brinfo = {
   br_branches : (Ssair.Ir.bid * Ssair.Ir.vid * Ssair.Ir.bid list) list;
       (** blocks ending in [Cbr]/[Switch] on a register: block, cond
@@ -93,12 +99,9 @@ type state = {
   warnings : (Loc.t * string, Report.warning) Hashtbl.t;
   brinfos : (string, brinfo) Hashtbl.t;
   fidx : (string, Ssair.Ir.func) Hashtbl.t;
-      (** function index — [Ssair.Ir.find_func] is a linear scan and the
-          legacy engine resolves callees at every call site of every
-          pass.  First occurrence wins, mirroring [find_func]. *)
+      (** function index — [Ssair.Ir.find_func] is a linear scan.
+          First occurrence wins, mirroring [find_func]. *)
   noncore_sockets : (string, unit) Hashtbl.t;
-  mutable changed : bool;
-  mutable passes : int;
 }
 
 let data_tainted st e = Hashtbl.mem st.data e
@@ -113,16 +116,7 @@ let branch_decided st (f : Ssair.Ir.func) (b : Ssair.Ir.block) : bool =
   | None -> false
   | Some ai -> Absint.dead_branch ai ~fname:f.Ssair.Ir.fname ~bid:b.Ssair.Ir.bbid <> None
 
-let taint st table e ~parent ~why =
-  if not (Hashtbl.mem table e) then begin
-    Hashtbl.replace table e { parent; why };
-    st.changed <- true
-  end
-
-(** Memoized {!brinfo} of [f].  Pure with respect to the taint state;
-    must first run on the main domain (it writes the memo tables) — the
-    sparse engine prewarms it before parallel pair builds, after which
-    worker domains read it through {!Vfgraph}'s finfo table. *)
+(** Memoized {!brinfo} of [f].  Pure with respect to the taint state. *)
 let branch_info st (f : Ssair.Ir.func) : brinfo =
   match Hashtbl.find_opt st.brinfos f.fname with
   | Some bi -> bi
@@ -199,17 +193,7 @@ let collect_noncore_sockets st =
         f.Ssair.Ir.fannot)
     st.prog.Ssair.Ir.funcs
 
-(* -- Warning emission ----------------------------------------------------------- *)
-
-let warn st (f : Ssair.Ir.func) ctx loc region =
-  let key = (loc, region) in
-  if not (Hashtbl.mem st.warnings key) then begin
-    Hashtbl.replace st.warnings key
-      { Report.w_func = f.fname; w_region = region; w_loc = loc; w_context = Ctx.names ctx };
-    st.changed <- true
-  end
-
-(* -- The per-(function, context) transfer ---------------------------------------- *)
+(* -- Taint queries ------------------------------------------------------------------ *)
 
 (** Blocks' tainted-control status: block → is any controlling branch
     condition tainted (data or ctrl)?  The closure of the "controls"
@@ -233,262 +217,11 @@ let value_entity fname ctx (v : Ssair.Ir.value) : entity option =
   | Ssair.Ir.Vparam p -> Some (Eparam (fname, ctx, p))
   | _ -> None
 
-let value_data_tainted st fname ctx v =
-  match value_entity fname ctx v with Some e -> data_tainted st e | None -> false
-
-let value_ctrl_tainted st fname ctx v =
-  match value_entity fname ctx v with Some e -> ctrl_tainted st e | None -> false
-
-let first_tainted _st fname ctx vs table =
-  List.find_map
-    (fun v ->
-      match value_entity fname ctx v with
-      | Some e when Hashtbl.mem table e -> Some e
-      | _ -> None)
-    vs
-
-(** Analyze one function under one context; records taints, warnings and
-    newly discovered (callee, context) pairs. *)
-let analyze_pair st (f : Ssair.Ir.func) (ctx : Ctx.t) =
-  let env = st.prog.Ssair.Ir.env in
-  let fname = f.Ssair.Ir.fname in
-  let blk_ctrl = block_control_taint st f ctx in
-  let in_tainted_block bid = Hashtbl.mem blk_ctrl bid in
-  List.iter
-    (fun (b : Ssair.Ir.block) ->
-      (* phis: data from incomings, control from the block's merge *)
-      List.iter
-        (fun (p : Ssair.Ir.phi) ->
-          let self = Eval (fname, ctx, p.Ssair.Ir.pid) in
-          List.iter
-            (fun (_, v) ->
-              match value_entity fname ctx v with
-              | Some e when data_tainted st e ->
-                taint st st.data self ~parent:(Some e) ~why:"phi merge"
-              | Some e when ctrl_tainted st e ->
-                taint st st.ctrl self ~parent:(Some e) ~why:"phi merge"
-              | _ -> ())
-            p.Ssair.Ir.incoming;
-          (* implicit flow: the phi's value is selected by the branches
-             controlling its incoming edges *)
-          let incoming_controlled =
-            in_tainted_block b.Ssair.Ir.bbid
-            || List.exists
-                 (fun (pred, _) ->
-                   in_tainted_block pred
-                   ||
-                   match Ssair.Ir.block_opt f pred with
-                   | Some pblk -> (
-                     match pblk.Ssair.Ir.termin with
-                     | Ssair.Ir.Cbr (Ssair.Ir.Vreg cid, _, _)
-                     | Ssair.Ir.Switch (Ssair.Ir.Vreg cid, _, _) ->
-                       (not (branch_decided st f pblk))
-                       &&
-                       let ce = Eval (fname, ctx, cid) in
-                       data_tainted st ce || ctrl_tainted st ce
-                     | _ -> false)
-                   | None -> false)
-                 p.Ssair.Ir.incoming
-          in
-          if st.config.Config.control_deps && incoming_controlled then
-            taint st st.ctrl self ~parent:None
-              ~why:"phi merges paths controlled by an unsafe condition")
-        b.Ssair.Ir.phis;
-      List.iter
-        (fun (i : Ssair.Ir.instr) ->
-          let self = Eval (fname, ctx, i.Ssair.Ir.iid) in
-          let flow_operands vs why =
-            (match first_tainted st fname ctx vs st.data with
-            | Some e -> taint st st.data self ~parent:(Some e) ~why
-            | None -> ());
-            match first_tainted st fname ctx vs st.ctrl with
-            | Some e -> taint st st.ctrl self ~parent:(Some e) ~why
-            | None -> ()
-          in
-          match i.Ssair.Ir.idesc with
-          | Ssair.Ir.Alloca _ -> ()
-          | Ssair.Ir.Load { ptr; lty } -> (
-            (* 1. shared-memory reads *)
-            let shm_targets = Phase1.shm_targets st.p1 f ptr in
-            Phase1.Rset.iter
-              (fun tgt ->
-                let rname = tgt.Phase1.Rtgt.region in
-                match Shm.region st.shm rname with
-                | None -> ()
-                | Some r ->
-                  if r.Shm.r_noncore then begin
-                    let covered =
-                      match tgt.Phase1.Rtgt.off with
-                      | Offset.Byte b ->
-                        Ctx.covers_region ctx rname ~lo:b ~hi:(b + Ty.sizeof env lty)
-                      | Offset.Top ->
-                        Ctx.covers_region ctx rname ~lo:0 ~hi:r.Shm.r_size
-                    in
-                    if not covered then begin
-                      warn st f ctx i.Ssair.Ir.iloc rname;
-                      taint st st.data self ~parent:(Some (Eregion rname))
-                        ~why:
-                          (Fmt.str "unmonitored read of non-core region %s at %a" rname
-                             Loc.pp i.Ssair.Ir.iloc)
-                    end
-                  end
-                  else begin
-                    (* core region: safe unless some unsafe value was
-                       stored into it *)
-                    let node = Pointsto.Node.Nshm rname in
-                    if data_tainted st (Enode node) && not (Ctx.covers_node ctx node) then
-                      taint st st.data self ~parent:(Some (Enode node))
-                        ~why:"read of core region holding an unsafe value"
-                  end)
-              shm_targets;
-            (* 2. ordinary memory — only when the address is not a
-               shared-memory pointer: shm reads are governed by the region
-               model above (P2 guarantees shm pointers cannot also point
-               to ordinary objects, and the opaque node backing the
-               segment would otherwise conflate all regions) *)
-            if Phase1.Rset.is_empty shm_targets then
-            Pointsto.Tset.iter
-              (fun tgt ->
-                let node = tgt.Pointsto.Target.node in
-                if not (Ctx.covers_node ctx node) then begin
-                  if data_tainted st (Enode node) then
-                    taint st st.data self ~parent:(Some (Enode node))
-                      ~why:"load from unsafe memory object";
-                  if ctrl_tainted st (Enode node) then
-                    taint st st.ctrl self ~parent:(Some (Enode node))
-                      ~why:"load from control-unsafe memory object"
-                end)
-              (Pointsto.points_to st.pts f ptr);
-            (* 3. tainted address: attacker-chosen cell *)
-            flow_operands [ ptr ] "load through unsafe pointer";
-            ignore lty)
-          | Ssair.Ir.Store { ptr; sval; _ } ->
-            let mark table parent why =
-              (* taint every object the store may write; shm-pointer
-                 stores taint the region node, not the opaque segment *)
-              let shm = Phase1.shm_targets st.p1 f ptr in
-              if Phase1.Rset.is_empty shm then
-                Pointsto.Tset.iter
-                  (fun tgt ->
-                    taint st table (Enode tgt.Pointsto.Target.node) ~parent ~why)
-                  (Pointsto.points_to st.pts f ptr)
-              else
-                Phase1.Rset.iter
-                  (fun tgt ->
-                    taint st table
-                      (Enode (Pointsto.Node.Nshm tgt.Phase1.Rtgt.region))
-                      ~parent ~why)
-                  shm
-            in
-            (match value_entity fname ctx sval with
-            | Some e when data_tainted st e ->
-              mark st.data (Some e) "unsafe value stored"
-            | Some e when ctrl_tainted st e ->
-              mark st.ctrl (Some e) "control-unsafe value stored"
-            | _ -> ());
-            if st.config.Config.control_deps && in_tainted_block b.Ssair.Ir.bbid then
-              mark st.ctrl None "store controlled by an unsafe condition"
-          | Ssair.Ir.Binop { lhs; rhs; _ } -> flow_operands [ lhs; rhs ] "arithmetic"
-          | Ssair.Ir.Unop { operand; _ } -> flow_operands [ operand ] "arithmetic"
-          | Ssair.Ir.Cast { cval; _ } -> flow_operands [ cval ] "cast"
-          | Ssair.Ir.Gep { base; idx; _ } -> flow_operands [ base; idx ] "address arithmetic"
-          | Ssair.Ir.Annotation _ -> ()
-          | Ssair.Ir.Call { callee; args; _ } -> (
-            match Hashtbl.find_opt st.fidx callee with
-            | Some g ->
-              let gctx =
-                if st.config.Config.context_sensitive then
-                  Ctx.union ctx (Ctx.make (own_assumptions st g))
-                else Ctx.make (own_assumptions st g)
-              in
-              if not (Hashtbl.mem st.pairs (g.Ssair.Ir.fname, gctx)) then begin
-                Hashtbl.replace st.pairs (g.Ssair.Ir.fname, gctx) ();
-                st.changed <- true
-              end;
-              List.iteri
-                (fun k arg ->
-                  match List.nth_opt g.Ssair.Ir.fparams k with
-                  | Some (pname, _) -> (
-                    let pe = Eparam (g.Ssair.Ir.fname, gctx, pname) in
-                    (match value_entity fname ctx arg with
-                    | Some e when data_tainted st e ->
-                      taint st st.data pe ~parent:(Some e)
-                        ~why:(Fmt.str "argument %d of call to %s" k callee)
-                    | Some e when ctrl_tainted st e ->
-                      taint st st.ctrl pe ~parent:(Some e)
-                        ~why:(Fmt.str "argument %d of call to %s" k callee)
-                    | _ -> ());
-                    if st.config.Config.control_deps && in_tainted_block b.Ssair.Ir.bbid
-                    then
-                      taint st st.ctrl pe ~parent:None
-                        ~why:"call controlled by an unsafe condition")
-                  | None -> ())
-                args;
-              let re = Eret (g.Ssair.Ir.fname, gctx) in
-              if data_tainted st re then
-                taint st st.data self ~parent:(Some re)
-                  ~why:(Fmt.str "return value of %s" callee);
-              if ctrl_tainted st re then
-                taint st st.ctrl self ~parent:(Some re)
-                  ~why:(Fmt.str "return value of %s" callee)
-            | None ->
-              (* extern *)
-              (* message-passing: recv through a non-core socket taints the
-                 buffer *)
-              if List.mem callee st.config.Config.recv_functions then begin
-                let socket_is_noncore =
-                  match args with
-                  | sock :: _ -> (
-                    match sock with
-                    | Ssair.Ir.Vparam p -> Hashtbl.mem st.noncore_sockets p
-                    | Ssair.Ir.Vreg id -> (
-                      (* a load of an annotated global *)
-                      let defs = Ssair.Ir.def_table f in
-                      match Hashtbl.find_opt defs id with
-                      | Some
-                          (Ssair.Ir.Def_instr
-                             ( { idesc = Ssair.Ir.Load { ptr = Ssair.Ir.Vglobal g; _ }; _ },
-                               _ )) ->
-                        Hashtbl.mem st.noncore_sockets g
-                      | _ -> false)
-                    | _ -> false)
-                  | [] -> false
-                in
-                if socket_is_noncore then
-                  match args with
-                  | _ :: buf :: _ ->
-                    Pointsto.Tset.iter
-                      (fun tgt ->
-                        taint st st.data (Enode tgt.Pointsto.Target.node)
-                          ~parent:(Some (Eregion (Fmt.str "socket via %s" callee)))
-                          ~why:"data received from a non-core component")
-                      (Pointsto.points_to st.pts f buf)
-                  | _ -> ()
-              end;
-              (* conservative: extern results carry their arguments' taint *)
-              flow_operands args (Fmt.str "through external call %s" callee)))
-        b.Ssair.Ir.instrs;
-      (* returns *)
-      match b.Ssair.Ir.termin with
-      | Ssair.Ir.Ret (Some v) -> (
-        let re = Eret (fname, ctx) in
-        (match value_entity fname ctx v with
-        | Some e when data_tainted st e ->
-          taint st st.data re ~parent:(Some e) ~why:"returned"
-        | Some e when ctrl_tainted st e ->
-          taint st st.ctrl re ~parent:(Some e) ~why:"returned"
-        | _ -> ());
-        if st.config.Config.control_deps && in_tainted_block b.Ssair.Ir.bbid then
-          taint st st.ctrl re ~parent:None
-            ~why:"returned value selected by an unsafe condition")
-      | _ -> ())
-    f.Ssair.Ir.blocks
-
 (* -- Sinks and asserts ------------------------------------------------------------ *)
 
 (** Stable opaque identity of a taint entity — the [p_key] of witness
     steps.  Entities are pure data, so the digest is deterministic
-    across runs, engines and processes. *)
+    across runs and processes. *)
 let entity_key (e : entity) : string =
   Digest.to_hex (Digest.string (Marshal.to_string e [ Marshal.No_sharing ]))
 
@@ -650,7 +383,7 @@ let collect_dependencies st : Report.dependency list =
     st.pairs;
   (* deduplicate by (sink, loc, kind), then emit in the canonical
      (file, line, code) order — [st.pairs] is a hash table, so the raw
-     collection order is engine- and layout-dependent *)
+     collection order is layout-dependent *)
   let seen = Hashtbl.create 16 in
   List.filter
     (fun (d : Report.dependency) ->
@@ -663,23 +396,21 @@ let collect_dependencies st : Report.dependency list =
     (List.rev !deps)
   |> List.stable_sort Report.compare_dependency
 
-(* -- Entry point -------------------------------------------------------------------- *)
+(* -- Results and shared entry points ------------------------------------------------- *)
 
 type result = {
   warnings : Report.warning list;
   dependencies : Report.dependency list;
-  passes : int;
-      (** legacy engine: dense fixpoint passes; worklist engine: 1 *)
+  passes : int;  (** propagation passes: 1 for {!Vfgraph}'s single drain *)
   pair_count : int;
   engine_stats : (string * int) list;
-      (** engine-specific counters surfaced in {!Report.t.stats}: empty
-          for the legacy engine, edge/pop counts for {!Vfgraph} *)
+      (** {!Vfgraph}'s entity, context, edge and worklist counters,
+          surfaced in {!Report.t.stats} *)
   taint_state : state;  (** exposed for the value-flow-graph export *)
 }
 
-(** Fresh analysis state; shared with the sparse engine ({!Vfgraph}),
-    which fills the same tables through a different propagation
-    strategy. *)
+(** Fresh analysis state, filled by {!Vfgraph} (or restored from the
+    phase-3 cache tier by {!Driver}). *)
 let make_state ~(config : Config.t) ?absint (prog : Ssair.Ir.program) (shm : Shm.t)
     (p1 : Phase1.t) (pts : Pointsto.t) : state =
   let fidx = Hashtbl.create 64 in
@@ -702,8 +433,6 @@ let make_state ~(config : Config.t) ?absint (prog : Ssair.Ir.program) (shm : Shm
       brinfos = Hashtbl.create 16;
       fidx;
       noncore_sockets = Hashtbl.create 4;
-      changed = false;
-      passes = 0;
     }
   in
   collect_noncore_sockets st;
@@ -711,7 +440,7 @@ let make_state ~(config : Config.t) ?absint (prog : Ssair.Ir.program) (shm : Shm
 
 (** Root (function, context) pairs: main with its own assumptions, plus
     every non-exempt function that is never called (library entry
-    points).  Also shared with {!Vfgraph}. *)
+    points). *)
 let root_pairs st : (Ssair.Ir.func * Ctx.t) list =
   let prog = st.prog in
   let roots = ref [] in
@@ -743,35 +472,3 @@ let root_pairs st : (Ssair.Ir.func * Ctx.t) list =
       then add_root f)
     prog.Ssair.Ir.funcs;
   List.rev !roots
-
-let run ?(config = Config.default) ?absint (prog : Ssair.Ir.program) (shm : Shm.t)
-    (p1 : Phase1.t) (pts : Pointsto.t) : result =
-  let st = make_state ~config ?absint prog shm p1 pts in
-  st.changed <- true;
-  List.iter
-    (fun ((f : Ssair.Ir.func), ctx) -> Hashtbl.replace st.pairs (f.Ssair.Ir.fname, ctx) ())
-    (root_pairs st);
-  (* fixpoint *)
-  Telemetry.span "phase3.fixpoint" (fun () ->
-      while st.changed do
-        st.changed <- false;
-        st.passes <- st.passes + 1;
-        let pairs = Hashtbl.fold (fun k () acc -> k :: acc) st.pairs [] in
-        List.iter
-          (fun (fname, ctx) ->
-            match Hashtbl.find_opt st.fidx fname with
-            | Some f when not (Phase1.is_exempt p1 fname) -> analyze_pair st f ctx
-            | _ -> ())
-          pairs
-      done);
-  let dependencies = Telemetry.span "phase3.collect" (fun () -> collect_dependencies st) in
-  {
-    warnings =
-      Hashtbl.fold (fun _ w acc -> w :: acc) st.warnings []
-      |> List.stable_sort Report.compare_warning;
-    dependencies;
-    passes = st.passes;
-    pair_count = Hashtbl.length st.pairs;
-    engine_stats = [];
-    taint_state = st;
-  }

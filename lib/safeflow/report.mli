@@ -129,7 +129,7 @@ val rule_of_code : string -> rule
 
     Total orders by (file, line, col), then diagnostic code, then the
     remaining fields.  Emission sites and the driver sort with these so
-    both engines emit byte-identically ordered reports. *)
+    reports are byte-identically ordered however they were produced. *)
 
 val compare_loc : Loc.t -> Loc.t -> int
 (** (file, line, col) *)

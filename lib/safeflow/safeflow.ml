@@ -35,8 +35,6 @@ module Vfg = Vfg
 module Driver = Driver
 module Fleet = Fleet
 module Synth = Synth
-module Dyntaint = Dyntaint
-module Summary = Summary
 module Assume = Assume
 module Fingerprint = Fingerprint
 module Cert = Cert

@@ -258,8 +258,7 @@ let fleet ?(seed = 1) (fp : fleet_params) : (string * string) list =
     monitoring functions.  Each level contributes two alternative
     monitors with distinct assumptions, both calling into the next level,
     so the number of distinct monitoring contexts reaching the leaves is
-    2^depth — the paper's "exponential in run-time complexity" case.  The
-    summary engine (B4) stays polynomial in per-instruction work. *)
+    2^depth — the paper's "exponential in run-time complexity" case. *)
 let context_explosion ~depth : string =
   let b = Buffer.create 4096 in
   buf_add b "struct Block { double a; double bfield; };\n";

@@ -48,4 +48,4 @@ val fleet : ?seed:int -> fleet_params -> (string * string) list
 
 val context_explosion : depth:int -> string
 (** binary tree of monitoring functions: 2^depth distinct monitoring
-    contexts reach the leaf — the exact engine's exponential case (B4) *)
+    contexts reach the leaf — the paper's exponential case *)

@@ -679,11 +679,13 @@ let pp_stats ppf () =
     0 (aggregate ());
   if not !any then Fmt.pf ppf "  (no spans recorded)@,";
   Fmt.pf ppf "counters:@,";
+  let nonzero, zero = List.partition (fun (_, v) -> v <> 0) (counters ()) in
   List.iter
     (fun (name, v) ->
       Fmt.pf ppf "  %-40s %12d%s@," name v
         (if is_gauge name then "  (gauge)" else ""))
-    (counters ());
+    nonzero;
+  if zero <> [] then Fmt.pf ppf "  (%d zero-valued counters hidden)@," (List.length zero);
   (match float_gauges () with
   | [] -> ()
   | gs ->

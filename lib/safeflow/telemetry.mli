@@ -225,4 +225,7 @@ val stats_json_schema : string
 
 val pp_stats : Format.formatter -> unit -> unit
 (** human-readable span tree (sibling spans aggregated by name, with
-    call counts and total wall time) followed by the counter table *)
+    call counts and total wall time) followed by the counter table;
+    zero-valued counters are summarized in one
+    [(N zero-valued counters hidden)] line ({!write_stats_json} keeps
+    them all) *)

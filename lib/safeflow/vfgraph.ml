@@ -5,22 +5,22 @@
     and the successor edges in one flat edge array that is finalized
     into a CSR adjacency ({!Csr}) right before the single worklist
     drain.  Each newly discovered (function, context) pair is translated
-    once into a flat symbolic {e edge block} by {!build_pair_block} — a
-    transcription of {!Phase3.analyze_pair} where every dynamic taint
-    test becomes a static edge — then {!replay} applies the block's
-    packed operations in recorded order and {!drain} runs the worklist
-    to closure.  The final interned taint state is poured back into a
+    once by {!walk_pair} — a transcription of the dense-fixpoint rules
+    (the test oracle's [analyze_pair]) where every dynamic taint test
+    becomes a static edge — and {!drain} runs the worklist to closure.
+    The final interned taint state is poured back into a
     {!Phase3.state} so that {!Phase3.collect_dependencies} (and the DOT
-    export) are shared with the legacy engine verbatim.
+    export) see the shared state shape.
 
-    Why symbolic blocks instead of building edges directly (as PR 1
-    did): a block is pure data keyed only by what the builder reads, so
-    it can be (a) cached content-addressed across runs and (b) built on
-    another domain.  Cold, warm and parallel runs all replay the same
-    operation sequence in the same order, which is what makes their
-    reports bit-identical.
+    With a cache attached, each pair becomes a flat symbolic {e edge
+    block} ({!build_pair_block}) that {!replay} applies in recorded
+    order: a block is pure data keyed only by what the builder reads,
+    so it can be cached content-addressed across runs.  Without one,
+    the walk emits straight into the graph ({!direct_sink}).  Both
+    paths produce the same operation sequence in the same order, which
+    is what makes cold, warm and cache-less reports bit-identical.
 
-    Flat layout (this PR): blocks carry small local value tables
+    Flat layout: blocks carry small local value tables
     ([b_strs]/[b_ctxs]/[b_nodes]/[b_whys]) plus two int arrays — one
     packed descriptor per entity, one packed word per operation — so a
     cache hit deserializes straight into ints and replay translates
@@ -33,7 +33,7 @@ open Minic
 module Offset = Pointsto.Offset
 
 (* Edge modes: how taint crosses the edge and which origin is recorded.
-   [mdata]/[mctrl] mirror the legacy data→data / ctrl→ctrl flows with the
+   [mdata]/[mctrl] mirror the oracle's data→data / ctrl→ctrl flows with the
    source as trace parent; [mboth] fuses a data and a ctrl edge sharing
    destination and reason (the overwhelmingly common pairing);
    [many_ctrl] mirrors the control-dependence rules, which fire on either
@@ -231,14 +231,13 @@ type t = {
           callees once per visit, so index the program up front *)
   own_lists : (string, Phase3.Ctx.t) Hashtbl.t;
       (** canonical own-assumption context per function — needed at every
-          call site; prewarmed on the main domain before parallel builds *)
+          call site *)
   p1_regs : (string, (Ssair.Ir.vid, Phase1.Rset.t) Hashtbl.t) Hashtbl.t;
       (** phase-1 register facts re-bucketed per function: the walk's
           per-instruction lookups hash an int instead of a
           [(fname, vid)] tuple.  Built once in {!create}; read-only. *)
   pts_regs : (string, (Ssair.Ir.vid, Pointsto.Tset.t) Hashtbl.t) Hashtbl.t;
       (** points-to register facts per function, same layout *)
-  prewarmed : (string, unit) Hashtbl.t;  (** functions already prewarmed *)
   (* worklist FIFO of codes [entity id * 2 + (ctrl ? 1 : 0)]; drained
      once after all waves, so a plain append-only array suffices *)
   mutable wl : int array;
@@ -264,7 +263,7 @@ type t = {
 }
 
 (* Counter inventory (registered at module init so the names exist in
-   every stats snapshot, even as zeros under the legacy engine). *)
+   every stats snapshot, even as zeros). *)
 let c_wl_pushes = Telemetry.counter "vf.worklist_pushes"
 let c_wl_pops = Telemetry.counter "vf.worklist_pops"
 let c_edges = Telemetry.counter "vf.edges_built"
@@ -275,8 +274,6 @@ let c_pair_built = Telemetry.counter "vf.pair_blocks_built"
 let c_csr_build_us = Telemetry.counter "vf.csr_build_us"
 let c_bitset_words = Telemetry.counter "vf.bitset_words"
 let c_drain_edges_per_sec = Telemetry.counter "vf.drain_edges_per_sec"
-let c_pair_tasks = Telemetry.counter "pool.pair_tasks"
-let c_pair_peak = Telemetry.gauge "pool.pair_peak"
 let h_pair_build = Telemetry.histogram "pair.build"
 
 let create st =
@@ -316,7 +313,6 @@ let create st =
     own_lists = Hashtbl.create 64;
     p1_regs;
     pts_regs;
-    prewarmed = Hashtbl.create 64;
     ctxs = Intern.Ctx.create ();
     strs = Intern.create 64;
     nodes = Intern.create 64;
@@ -474,9 +470,7 @@ let drain g =
 (* -- Static per-function facts ------------------------------------------------- *)
 
 (* [own_list]/[finfo] memoize into [g] (and [Phase3.branch_info] into
-   the shared state) and must only run on the main domain;
-   {!prewarm_wave} populates the tables for a wave before any worker
-   touches them read-only. *)
+   the shared state). *)
 
 let own_list g (f : Ssair.Ir.func) : Phase3.Ctx.t =
   match Hashtbl.find_opt g.own_lists f.Ssair.Ir.fname with
@@ -544,10 +538,9 @@ type cmemo =
 
 (* Where the walk sends what it finds.  Two implementations: the block
    sink interns into block-local tables and buffers packed ops (the
-   cacheable, worker-safe path), the direct sink interns into the
-   graph's global tables and applies each op immediately (the
-   sequential cache-less fast path — no block record, no replay
-   translation). *)
+   cacheable path), the direct sink interns into the graph's global
+   tables and applies each op immediately (the cache-less fast path —
+   no block record, no replay translation). *)
 type sink = {
   s_sid : string -> int;
   s_cid : Phase3.Ctx.t -> int;
@@ -581,12 +574,11 @@ type sink = {
 
 (** Transcribe [f] under context [ctx] through [sk]; the static taint
     sources of the pair (unmonitored non-core reads, non-core recv
-    buffers) become seeds.  Edge-for-rule correspondence with
-    {!Phase3.analyze_pair} is documented inline.
+    buffers) become seeds.  Edge-for-rule correspondence with the
+    oracle's [analyze_pair] is documented inline.
 
-    With a block sink this is pure with respect to [g]: it reads only
-    [st] (immutable analysis inputs), [funcs_by_name], and the prewarmed
-    [finfos]/[own_lists] tables — safe to run on a worker domain. *)
+    With a block sink the only writes to [g] are the [finfos]/
+    [own_lists] memo tables. *)
 let walk_pair g (sk : sink) (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid : unit =
   let st = g.st in
   let config = st.Phase3.config in
@@ -737,7 +729,7 @@ let walk_pair g (sk : sink) (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid :
                   end)
               shm_targets;
             (* 2. ordinary memory (cf. the shm/ordinary split in the
-               legacy engine) *)
+               oracle) *)
             if Phase1.Rset.is_empty shm_targets then
               Pointsto.Tset.iter
                 (fun tgt ->
@@ -893,7 +885,7 @@ let compute_cmemo g (sk : sink) ctx self_cid callee : cmemo =
 let static_self_ids = Array.init n_static_whys Fun.id
 
 (** Transcribe [f] under [ctx] into a position-independent flat edge
-    block (the cacheable, worker-safe form). *)
+    block (the cacheable form). *)
 let build_pair_block g (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) : block =
   (* block-local value tables; indices are what the packed descriptors
      and ops carry *)
@@ -939,7 +931,7 @@ let build_pair_block g (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) : block =
           Ibuf.push ops_buf (pack_op 3 (Intern.intern lstrs gfn.Ssair.Ir.fname) gcid 0 0));
       s_callee_cid =
         (fun ctx _self_cid gfn ->
-          let own = Hashtbl.find g.own_lists gfn.Ssair.Ir.fname in
+          let own = own_list g gfn in
           Intern.intern lctxs
             (if g.st.Phase3.config.Config.context_sensitive then Phase3.Ctx.union ctx own
              else own));
@@ -975,11 +967,11 @@ let record_warning g (w : Report.warning) =
 
 (** Sink that emits a pair's edges straight into the live graph: global
     intern tables, immediate op application — no local tables, no block
-    record, no replay translation.  Only valid sequentially on the main
-    domain with no cache attached (the cached path must produce a
-    position-independent {!block} to store); applies the same ops in the
-    same order as [build_pair_block] followed by [replay], so taints,
-    origins and discoveries are identical.
+    record, no replay translation.  Only valid with no cache attached
+    (the cached path must produce a position-independent {!block} to
+    store); applies the same ops in the same order as
+    [build_pair_block] followed by [replay], so taints, origins and
+    discoveries are identical.
 
     The sink is pair-independent: built once per run and reused for
     every pending pair.  That lets it memoize callee memos across pairs,
@@ -1219,8 +1211,7 @@ let callee_sigs g (f : Ssair.Ir.func) =
       | Ssair.Ir.Call { callee; _ } when not (Hashtbl.mem seen callee) -> (
         match Hashtbl.find_opt g.funcs_by_name callee with
         | Some gfn ->
-          Hashtbl.replace seen callee
-            (List.map fst gfn.Ssair.Ir.fparams, Hashtbl.find g.own_lists callee)
+          Hashtbl.replace seen callee (List.map fst gfn.Ssair.Ir.fparams, own_list g gfn)
         | None -> ())
       | _ -> ())
     (Ssair.Ir.all_instrs f);
@@ -1261,99 +1252,28 @@ let pair_key g kc (f : Ssair.Ir.func) cid =
   in
   Digest_ir.combine [ dep_digest g kc f; ctx_d ]
 
-(* -- Wave-parallel pair building ----------------------------------------------- *)
-
-(* Populate the [finfos] (CDG closures) and [own_lists] entries a wave's
-   builders will read; must run on the main domain before workers start.
-   A function reappearing in a later wave (same function, new context)
-   was fully prewarmed by its first wave, so it is skipped. *)
-let prewarm_wave g (wave : (Ssair.Ir.func * int) array) =
-  Array.iter
-    (fun ((f : Ssair.Ir.func), _) ->
-      if not (Hashtbl.mem g.prewarmed f.Ssair.Ir.fname) then begin
-        Hashtbl.replace g.prewarmed f.Ssair.Ir.fname ();
-        ignore (finfo g f);
-        ignore (own_list g f);
-        List.iter
-          (fun (i : Ssair.Ir.instr) ->
-            match i.Ssair.Ir.idesc with
-            | Ssair.Ir.Call { callee; _ } -> (
-              match Hashtbl.find_opt g.funcs_by_name callee with
-              | Some gfn -> ignore (own_list g gfn)
-              | None -> ())
-            | _ -> ())
-          (Ssair.Ir.all_instrs f)
-      end)
-    wave
-
-(* Build the given pairs, on a bounded domain pool when configured.
-   Workers only read [g] (see {!build_pair_block}); results come back in
-   input order, so the subsequent sequential replay is deterministic. *)
-let build_many g (todo : (Ssair.Ir.func * Phase3.Ctx.t) array) : block array =
-  let n = Array.length todo in
-  let domains =
-    let d = g.st.Phase3.config.Config.pair_domains in
-    if d = 0 then Domain.recommended_domain_count () else d
-  in
-  let build (f : Ssair.Ir.func) ctx =
-    Telemetry.span "pair.build"
-      ~args:[ ("function", f.Ssair.Ir.fname) ]
-      (fun () -> Telemetry.time_hist h_pair_build (fun () -> build_pair_block g f ctx))
-  in
-  Telemetry.add c_pair_tasks n;
-  if n <= 1 || domains <= 1 then Array.map (fun (f, ctx) -> build f ctx) todo
-  else begin
-    let out : (block, exn) result option array = Array.make n None in
-    let next = Atomic.make 0 in
-    let active = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          Telemetry.record_max c_pair_peak (Atomic.fetch_and_add active 1 + 1);
-          let f, ctx = todo.(i) in
-          out.(i) <- Some (try Ok (build f ctx) with e -> Error e);
-          Atomic.decr active;
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let extra = min (domains - 1) (n - 1) in
-    let spawned = List.init (max 0 extra) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join spawned;
-    Array.map (function Some (Ok b) -> b | Some (Error e) -> raise e | None -> assert false) out
-  end
-
 (* -- Entry point --------------------------------------------------------------- *)
 
 let run ?(config = Config.default) ?cache ?digests ?absint (prog : Ssair.Ir.program)
     (shm : Shm.t) (p1 : Phase1.t) (pts : Pointsto.t) : Phase3.result =
   let st = Phase3.make_state ~config ?absint prog shm p1 pts in
   let g = create st in
-  let kc =
+  let keyed =
     match (cache, digests) with
-    | Some _, Some d -> Some (make_keyctx g d ~sem_fp:(Digest_ir.semantic_config config))
+    | Some c, Some d -> Some (c, make_keyctx g d ~sem_fp:(Digest_ir.semantic_config config))
     | _ -> None
   in
   List.iter
     (fun (f, ctx) -> discover_pair g f (Intern.Ctx.intern g.ctxs ctx))
     (Phase3.root_pairs st);
   (* pair discovery is taint-independent, so building all pairs before
-     draining reaches the same closure as interleaving would.  The
-     pending queue is drained in waves: each wave is prewarmed and built
-     (cache hits skipping the build; misses optionally in parallel),
-     then replayed sequentially in discovery order — the same total
-     order a sequential FIFO drain would produce, which keeps reports
-     bit-identical across {cold, warm, parallel}. *)
-  (* sequential cache-less runs take the direct path: each pending pair
-     is walked straight into the graph in FIFO order — the same total op
-     order the wave machinery produces, without block/replay overhead *)
-  let domains =
-    let d = config.Config.pair_domains in
-    if d = 0 then Domain.recommended_domain_count () else d
-  in
+     draining reaches the same closure as interleaving would.  Without a
+     cache each pending pair is walked straight into the graph in FIFO
+     order.  With one, the pending queue is drained in waves: each
+     pair's block is found in the cache or built and stored, then the
+     wave is replayed in discovery order — the same total op order as
+     the direct walk, which keeps reports bit-identical across {no
+     cache, cold, warm}. *)
   let direct () =
     let sk = direct_sink g in
     let n = ref 0 in
@@ -1370,53 +1290,37 @@ let run ?(config = Config.default) ?cache ?digests ?absint (prog : Ssair.Ir.prog
     done;
     Telemetry.add c_pair_built !n
   in
-  let rec waves () =
+  let rec waves c kc =
     if not (Queue.is_empty g.pending) then begin
       let wave = Array.of_seq (Queue.to_seq g.pending) in
       Queue.clear g.pending;
-      Telemetry.span "phase3.prewarm" (fun () -> prewarm_wave g wave);
-      let keys =
-        match (cache, kc) with
-        | Some _, Some kc -> Array.map (fun (f, cid) -> Some (pair_key g kc f cid)) wave
-        | _ -> Array.map (fun _ -> None) wave
+      let blocks =
+        Array.map
+          (fun ((f : Ssair.Ir.func), cid) ->
+            let key = pair_key g kc f cid in
+            match (Cache.find c ~ns:"pair" ~key : block option) with
+            | Some b ->
+              Telemetry.incr c_pair_replayed;
+              b
+            | None ->
+              let b =
+                Telemetry.span "pair.build"
+                  ~args:[ ("function", f.Ssair.Ir.fname) ]
+                  (fun () ->
+                    Telemetry.time_hist h_pair_build (fun () ->
+                        build_pair_block g f (Intern.Ctx.get g.ctxs cid)))
+              in
+              Telemetry.incr c_pair_built;
+              Cache.store c ~ns:"pair" ~key b;
+              b)
+          wave
       in
-      let blocks : block option array =
-        Array.map2
-          (fun (_, _) key ->
-            match (cache, key) with
-            | Some c, Some k -> (Cache.find c ~ns:"pair" ~key:k : block option)
-            | _ -> None)
-          wave keys
-      in
-      let miss_idx =
-        Array.to_list (Array.mapi (fun i b -> (i, b)) blocks)
-        |> List.filter_map (fun (i, b) -> if b = None then Some i else None)
-        |> Array.of_list
-      in
-      Telemetry.add c_pair_built (Array.length miss_idx);
-      Telemetry.add c_pair_replayed (Array.length wave - Array.length miss_idx);
-      let built =
-        Telemetry.span "phase3.buildmany" (fun () ->
-            build_many g
-              (Array.map
-                 (fun i ->
-                   let f, cid = wave.(i) in
-                   (f, Intern.Ctx.get g.ctxs cid))
-                 miss_idx))
-      in
-      Array.iteri
-        (fun j i ->
-          blocks.(i) <- Some built.(j);
-          match (cache, keys.(i)) with
-          | Some c, Some k -> Cache.store c ~ns:"pair" ~key:k built.(j)
-          | _ -> ())
-        miss_idx;
-      Telemetry.span "phase3.replay" (fun () ->
-          Array.iter (function Some b -> replay g b | None -> assert false) blocks);
-      waves ()
+      Telemetry.span "phase3.replay" (fun () -> Array.iter (replay g) blocks);
+      waves c kc
     end
   in
-  Telemetry.span "phase3.waves" (if kc = None && domains <= 1 then direct else waves);
+  Telemetry.span "phase3.waves" (fun () ->
+      match keyed with Some (c, kc) -> waves c kc | None -> direct ());
   Telemetry.span "phase3.csr_build" (fun () -> finalize_csr g);
   Telemetry.span "phase3.drain" (fun () -> drain g);
   Telemetry.add c_wl_pushes g.n_pushes;
@@ -1447,8 +1351,6 @@ let run ?(config = Config.default) ?cache ?digests ?absint (prog : Ssair.Ir.prog
       done;
       st.Phase3.data <- data_tbl;
       st.Phase3.ctrl <- ctrl_tbl);
-  st.Phase3.passes <- 1;
-  st.Phase3.changed <- false;
   let dependencies = Telemetry.span "phase3.collect" (fun () -> Phase3.collect_dependencies st) in
   {
     Phase3.warnings =

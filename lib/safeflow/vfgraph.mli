@@ -1,8 +1,10 @@
-(** Sparse worklist phase-3 engine over an explicit value-flow graph.
+(** The phase-3 engine: a sparse worklist over an explicit value-flow
+    graph.
 
-    The legacy engine ({!Phase3.run}) is a dense fixpoint: every pass
-    re-scans every instruction of every discovered (function, context)
-    pair until no taint changes.  This engine visits each pair {e once}:
+    A dense fixpoint would re-scan every instruction of every discovered
+    (function, context) pair until no taint changes (the test-only
+    oracle in [test/legacy_phase3.ml] does exactly that).  This engine
+    visits each pair {e once}:
     on first discovery it builds the pair's value-flow successor edges
     (SSA def-use, load/store edges resolved by {!Pointsto}, call/return
     edges, control-dependence edges from the cached CDGs) and thereafter
@@ -10,18 +12,15 @@
     Entities and monitoring contexts are interned to dense integer ids
     ({!Intern}), so taint membership is an array lookup.
 
-    Select it with [{ Config.default with engine = Config.Worklist }]
-    (the {!Driver} dispatches on that flag).
-
-    Equivalence with the legacy engine: warnings, violations, discovered
-    pairs and dependency classifications are identical (asserted by
-    [test/test_engine_equiv.ml]).  Two deliberate, report-invisible
-    deviations: propagation-trace parents may differ (both engines pick
-    an arbitrary witness path), and control-taint is propagated
-    monotonically where the legacy engine's data-taint branch shadows
-    its control branch — the extra control marks land only on entities
-    that are also data-tainted, and data shadows control everywhere the
-    report classifies, so classifications agree. *)
+    Equivalence with the dense-fixpoint oracle: warnings, violations,
+    discovered pairs and dependency classifications are identical
+    (asserted by [test/test_engine_equiv.ml]).  Two deliberate,
+    report-invisible deviations: propagation-trace parents may differ
+    (both sides pick an arbitrary witness path), and control-taint is
+    propagated monotonically where the oracle's data-taint branch
+    shadows its control branch — the extra control marks land only on
+    entities that are also data-tainted, and data shadows control
+    everywhere the report classifies, so classifications agree. *)
 
 (** CSR (compressed sparse row) adjacency over dense entity ids: the
     flat edge list the replay appends to is finalized once — between the
@@ -55,10 +54,9 @@ val run :
   Phase1.t ->
   Pointsto.t ->
   Phase3.result
-(** drop-in replacement for {!Phase3.run}; [?absint] prunes control
-    dependence of branches whose direction the value-range analysis
-    decides (precision-only, mirrored in the legacy engine);
-    [result.passes] is 1 and
+(** Run phase 3 to closure.  [?absint] prunes control dependence of
+    branches whose direction the value-range analysis decides
+    (precision-only, mirrored in the oracle); [result.passes] is 1 and
     [result.engine_stats] reports interned-entity, edge and worklist-pop
     counters.
 
@@ -68,9 +66,6 @@ val run :
     type environment, callee signatures and own-assumptions, semantic
     config, monitoring context) — a warm rerun replays cached blocks
     without re-scanning any instruction, and a one-function edit rebuilds
-    only the pairs whose dependency digest changed.
-
-    With [config.pair_domains] ≠ 1, cache-miss blocks of each discovery
-    wave are built on a bounded pool of domains; blocks are still
-    replayed sequentially in discovery order, so reports are bit-identical
-    to the sequential run. *)
+    only the pairs whose dependency digest changed.  Blocks are replayed
+    in discovery order, so reports are bit-identical to the cache-less
+    run. *)

@@ -179,20 +179,19 @@ let test_branch_refinement_kills_branch () =
 
 (* -- report-level guarantees ------------------------------------------- *)
 
-let analyze_with ~engine ~absint ?file src =
-  let config = { Config.default with Config.engine; absint } in
-  Driver.analyze ~config ?file src
+let analyze_with ~absint ?file src =
+  Driver.analyze ~config:{ Config.default with absint } ?file src
 
 let fingerprints (a : Driver.analysis) =
   let ctx = Fingerprint.ctx_of_program a.Driver.prepared.Driver.ir in
   List.sort_uniq compare (List.map fst (Fingerprint.of_report ctx a.Driver.report))
 
+(* the engine and the dense-fixpoint oracle (Legacy_phase3) prune alike *)
 let test_clamp_control_dep_pruned () =
   List.iter
-    (fun engine ->
-      let name = Config.engine_name engine in
-      let off = analyze_with ~engine ~absint:false ~file:"clamp.c" clamp_src in
-      let on = analyze_with ~engine ~absint:true ~file:"clamp.c" clamp_src in
+    (fun (name, analyze) ->
+      let off = analyze ~absint:false in
+      let on = analyze ~absint:true in
       Alcotest.(check int)
         (name ^ ": control dep reported without ranges")
         1
@@ -207,7 +206,11 @@ let test_clamp_control_dep_pruned () =
         (name ^ ": warnings unchanged")
         (List.length off.Driver.report.Report.warnings)
         (List.length on.Driver.report.Report.warnings))
-    [ Config.Legacy; Config.Worklist ]
+    [ ("worklist", fun ~absint -> analyze_with ~absint ~file:"clamp.c" clamp_src);
+      ( "legacy",
+        fun ~absint ->
+          Legacy_phase3.analyze ~config:{ Config.default with absint } ~file:"clamp.c"
+            clamp_src ) ]
 
 let all_systems =
   [ "figure2.c"; "ip_controller.c"; "double_ip.c"; "car_follow.c";
@@ -222,17 +225,13 @@ let test_systems_fingerprint_subset () =
         close_in ic;
         s
       in
-      List.iter
-        (fun engine ->
-          let off = analyze_with ~engine ~absint:false ~file:name src in
-          let on = analyze_with ~engine ~absint:true ~file:name src in
-          let fps_on = fingerprints on and fps_off = fingerprints off in
-          Alcotest.(check bool)
-            (Fmt.str "%s/%s: on-findings are a subset of off-findings" name
-               (Config.engine_name engine))
-            true
-            (List.for_all (fun fp -> List.mem fp fps_off) fps_on))
-        [ Config.Legacy; Config.Worklist ])
+      let off = analyze_with ~absint:false ~file:name src in
+      let on = analyze_with ~absint:true ~file:name src in
+      let fps_on = fingerprints on and fps_off = fingerprints off in
+      Alcotest.(check bool)
+        (Fmt.str "%s: on-findings are a subset of off-findings" name)
+        true
+        (List.for_all (fun fp -> List.mem fp fps_off) fps_on))
     all_systems
 
 let test_generic_simplex_discharges () =

@@ -2,9 +2,10 @@
    files and differential reports, monitoring coverage, CI gating.
 
    The load-bearing property is fingerprint invariance — the same
-   finding must get the same identity across engine choice, cache state,
-   parallelism settings and function reordering — because baselines and
-   diffs are keyed on nothing else. *)
+   finding must get the same identity from the phase-3 engine and its
+   dense-fixpoint oracle, and across cache state, parallelism and
+   function reordering — because baselines and diffs are keyed on
+   nothing else. *)
 
 open Safeflow
 
@@ -26,34 +27,32 @@ let read_file p =
 let system_files =
   [ "figure2.c"; "ip_controller.c"; "double_ip.c"; "car_follow.c"; "generic_simplex.c" ]
 
-let fingerprints ?config ?cache src =
-  let a = Driver.analyze ?config ?cache src in
+let fps_of (a : Driver.analysis) =
   let ctx = Fingerprint.ctx_of_program a.Driver.prepared.Driver.ir in
-  List.map fst (Fingerprint.of_report ctx a.Driver.report)
+  List.sort compare (List.map fst (Fingerprint.of_report ctx a.Driver.report))
 
-let sorted_fps ?config ?cache src = List.sort compare (fingerprints ?config ?cache src)
+let sorted_fps ?config ?cache src = fps_of (Driver.analyze ?config ?cache src)
 
 let slist = Alcotest.(list string)
 
 (* -- fingerprint invariance ---------------------------------------------------- *)
 
+(* the engine against the dense-fixpoint oracle (Legacy_phase3) *)
 let test_engine_invariance name () =
   let src = read_file (find_system name) in
-  let legacy = sorted_fps ~config:{ Config.default with engine = Config.Legacy } src in
-  let worklist =
-    sorted_fps ~config:{ Config.default with engine = Config.Worklist } src
-  in
+  let legacy = fps_of (Legacy_phase3.analyze src) in
+  let worklist = sorted_fps src in
   Alcotest.check slist "legacy = worklist" legacy worklist;
   Alcotest.(check bool) "non-empty" true (legacy <> [])
 
+(* one system alone vs among all systems analyzed on parallel domains *)
 let test_parallelism_invariance name () =
-  let src = read_file (find_system name) in
-  let fps n =
-    sorted_fps
-      ~config:{ Config.default with engine = Config.Worklist; pair_domains = n }
-      src
+  let path = find_system name in
+  let seq = fps_of (Driver.analyze_file path) in
+  let par =
+    List.combine system_files (Driver.analyze_files_par (List.map find_system system_files))
   in
-  Alcotest.check slist "sequential = parallel" (fps 1) (fps 0)
+  Alcotest.check slist "sequential = parallel" seq (fps_of (List.assoc name par))
 
 (* cache entries live under a generation subdirectory of the root *)
 let rec rm_rf dir =
@@ -146,11 +145,9 @@ let test_reorder_invariance () =
 
 let test_byte_identical name () =
   let src = read_file (find_system name) in
-  let render engine =
-    Report.to_string (Driver.analyze ~config:{ Config.default with engine } src).Driver.report
-  in
-  Alcotest.(check string) "engines render identically" (render Config.Legacy)
-    (render Config.Worklist)
+  Alcotest.(check string) "engines render identically"
+    (Report.to_string (Legacy_phase3.analyze src).Driver.report)
+    (Report.to_string (Driver.analyze src).Driver.report)
 
 let test_canonical_order name () =
   let src = read_file (find_system name) in
@@ -507,9 +504,8 @@ let test_coverage name () =
 
 let test_coverage_engine_invariance name () =
   let src = read_file (find_system name) in
-  let cov engine = (Driver.analyze ~config:{ Config.default with engine } src).Driver.coverage in
   Alcotest.(check bool) "coverage engine-invariant" true
-    (cov Config.Legacy = cov Config.Worklist)
+    ((Legacy_phase3.analyze src).Driver.coverage = (Driver.analyze src).Driver.coverage)
 
 let per_system f = List.map (fun n -> Alcotest.test_case n `Quick (f n)) system_files
 

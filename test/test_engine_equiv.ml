@@ -1,11 +1,13 @@
-(* Differential test: the sparse worklist engine (Vfgraph) must produce
-   the same report as the legacy dense fixpoint (Phase3) — identical
-   violations, warnings and dependency classifications — on every subject
-   system and synthetic program, under every Config toggle combination.
+(* Differential test: the phase-3 engine (Vfgraph, through
+   Driver.analyze) must produce the same report as the dense-fixpoint
+   oracle (Legacy_phase3) — identical violations, warnings, dependency
+   classifications and (function, context) pair universe — on every
+   subject system and synthetic program, under every Config toggle
+   combination.
 
    Deliberately NOT compared (see vfgraph.mli): propagation-trace parents
    and the per-warning context string, both of which depend on visit
-   order that neither engine guarantees. *)
+   order that neither side guarantees. *)
 
 open Safeflow
 
@@ -55,12 +57,8 @@ let quad_list = Alcotest.(list (pair (pair string string) (pair string string)))
 let quad (a, b, c, d) = ((a, b), (c, d))
 
 let check_equiv label (config : Config.t) (src : string) =
-  let legacy =
-    (Driver.analyze ~config:{ config with engine = Config.Legacy } src).Driver.report
-  in
-  let worklist =
-    (Driver.analyze ~config:{ config with engine = Config.Worklist } src).Driver.report
-  in
+  let legacy = (Legacy_phase3.analyze ~config src).Driver.report in
+  let worklist = (Driver.analyze ~config src).Driver.report in
   Alcotest.check triple_list (label ^ ": violations") (violation_keys legacy)
     (violation_keys worklist);
   Alcotest.check triple_list (label ^ ": warnings") (warning_keys legacy)
@@ -109,9 +107,8 @@ let test_synth_context_explosion () =
     toggle_grid
 
 let test_worklist_stats () =
-  (* the worklist engine must expose its graph counters in the report *)
-  let config = { Config.default with engine = Config.Worklist } in
-  let r = (Driver.analyze ~config (Synth.of_size 8)).Driver.report in
+  (* the engine must expose its graph counters in the report *)
+  let r = (Driver.analyze (Synth.of_size 8)).Driver.report in
   List.iter
     (fun key ->
       if not (List.mem_assoc key r.Report.stats) then
@@ -124,8 +121,7 @@ let test_telemetry_invariance () =
      structurally identical with the subsystem off (default) and on, and
      nothing at all is recorded while it is off *)
   let src = read_file (find_system "figure2.c") in
-  let config = { Config.default with engine = Config.Worklist } in
-  let run () = Driver.analyze ~config src in
+  let run () = Driver.analyze src in
   Telemetry.set_enabled false;
   Telemetry.reset ();
   let off = run () in

@@ -192,51 +192,18 @@ let test_error_traces_rooted_at_sources () =
         (Report.errors r))
     [ "ip_controller.c"; "generic_simplex.c"; "double_ip.c" ]
 
-(* -- Summary engine (§3.3's ESP-style optimization) ---------------------------- *)
+(* -- Context explosion (§3.3's exponential case) ----------------------------- *)
 
-let read_file p =
-  let ic = open_in_bin p in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let engines_agree name src =
-  let exact = (Driver.analyze src).Driver.report in
-  let summary, _ = Driver.analyze_summary src in
-  let locs r = List.map (fun (w : Report.warning) -> w.w_loc) r.Report.warnings |> List.sort compare in
-  Alcotest.(check int) (name ^ ": warning count") (List.length exact.Report.warnings)
-    (List.length summary.Report.warnings);
-  Alcotest.(check bool) (name ^ ": warning sites equal") true (locs exact = locs summary);
-  let err_locs r = List.map (fun d -> d.Report.d_loc) (Report.errors r) |> List.sort compare in
-  Alcotest.(check bool) (name ^ ": error sinks equal") true
-    (err_locs exact = err_locs summary)
-
-let test_summary_engine_agrees_on_systems () =
+let test_context_blowup_single_error () =
+  (* 2^depth monitoring contexts reach one leaf: the engine reports the
+     leaf's single data error however many contexts there are *)
   List.iter
-    (fun name -> engines_agree name (read_file (find_system name)))
-    [ "figure2.c"; "ip_controller.c"; "generic_simplex.c"; "double_ip.c"; "car_follow.c" ]
-
-let test_summary_engine_context_explosion () =
-  (* the exponential workload: identical findings, single data error *)
-  let src = Synth.context_explosion ~depth:6 in
-  engines_agree "explosion-6" src;
-  let summary, s = Driver.analyze_summary src in
-  Alcotest.(check int) "one error" 1 (List.length (Report.errors summary));
-  Alcotest.(check bool) "few passes" true (s.Summary.passes <= 6)
-
-let prop_summary_agrees_on_synth =
-  let gen = QCheck.Gen.(pair (int_range 2 12) (oneofl [ 0.0; 0.25; 0.5; 1.0 ])) in
-  let arb = QCheck.make ~print:(fun (w, f) -> Fmt.str "w=%d f=%.2f" w f) gen in
-  QCheck.Test.make ~name:"summary engine agrees on synthetic programs" ~count:20 arb
-    (fun (workers, monitored_fraction) ->
-      let src =
-        Synth.generate { Synth.default with workers; monitored_fraction; chain_depth = 2 }
-      in
-      let exact = (Driver.analyze src).Driver.report in
-      let summary, _ = Driver.analyze_summary src in
-      List.length exact.Report.warnings = List.length summary.Report.warnings
-      && List.length (Report.errors exact) = List.length (Report.errors summary))
+    (fun depth ->
+      let r = (Driver.analyze (Synth.context_explosion ~depth)).Driver.report in
+      Alcotest.(check int) (Fmt.str "depth=%d errors" depth) 1 (List.length (Report.errors r));
+      Alcotest.(check bool) (Fmt.str "depth=%d no violations" depth) true
+        (r.Report.violations = []))
+    [ 2; 4; 6 ]
 
 (* -- Car-following demo system (message-passing extension §3.4.3) ------------- *)
 
@@ -292,7 +259,5 @@ let () =
           Alcotest.test_case "traces rooted" `Quick test_error_traces_rooted_at_sources ] );
       ( "car-follow",
         [ Alcotest.test_case "message-passing demo system" `Quick test_car_follow_system ] );
-      ( "summary-engine",
-        [ Alcotest.test_case "agrees on systems" `Quick test_summary_engine_agrees_on_systems;
-          Alcotest.test_case "context explosion" `Quick test_summary_engine_context_explosion;
-          qt prop_summary_agrees_on_synth ] ) ]
+      ( "context-blowup",
+        [ Alcotest.test_case "one error at any depth" `Quick test_context_blowup_single_error ] ) ]

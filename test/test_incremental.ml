@@ -1,10 +1,9 @@
 (* End-to-end tests for the content-addressed incremental cache and the
-   parallel builders: reports must be structurally identical across
-   {no cache, cold, warm, one-function edit} × {legacy, worklist}; the
-   on-disk tier must survive a round trip through a fresh process-level
-   cache object and silently recompute corrupt entries; the parallel
-   pair builder and Driver.analyze_files_par must agree with sequential
-   analysis in input order. *)
+   parallel driver: reports must be structurally identical across {no
+   cache, cold, warm, one-function edit}; the on-disk tier must survive
+   a round trip through a fresh process-level cache object and silently
+   recompute corrupt entries; Driver.analyze_files_par must agree with
+   sequential analysis in input order. *)
 
 open Safeflow
 
@@ -27,10 +26,6 @@ let read_file p =
   close_in ic;
   s
 
-let engines = [ ("legacy", Config.Legacy); ("worklist", Config.Worklist) ]
-
-let config_of engine = { Config.default with engine }
-
 let report ?cache config src = (Driver.analyze ~config ?cache src).Driver.report
 
 let check_report label (expected : Report.t) (actual : Report.t) =
@@ -44,14 +39,10 @@ let test_warm_identity () =
   List.iter
     (fun sys ->
       let src = read_file (find_system sys) in
-      List.iter
-        (fun (ename, engine) ->
-          let config = config_of engine in
-          let baseline = report config src in
-          let c = Cache.create () in
-          check_report (sys ^ " cold " ^ ename) baseline (report ~cache:c config src);
-          check_report (sys ^ " warm " ^ ename) baseline (report ~cache:c config src))
-        engines)
+      let baseline = report Config.default src in
+      let c = Cache.create () in
+      check_report (sys ^ " cold") baseline (report ~cache:c Config.default src);
+      check_report (sys ^ " warm") baseline (report ~cache:c Config.default src))
     systems
 
 let test_dirty_identity () =
@@ -59,15 +50,11 @@ let test_dirty_identity () =
     (fun sys ->
       let src = read_file (find_system sys) in
       let dirty = src ^ probe in
-      List.iter
-        (fun (ename, engine) ->
-          let config = config_of engine in
-          let fresh = report config dirty in
-          let c = Cache.create () in
-          ignore (report ~cache:c config src);
-          (* primed with the unedited source *)
-          check_report (sys ^ " dirty " ^ ename) fresh (report ~cache:c config dirty))
-        engines)
+      let fresh = report Config.default dirty in
+      let c = Cache.create () in
+      ignore (report ~cache:c Config.default src);
+      (* primed with the unedited source *)
+      check_report (sys ^ " dirty") fresh (report ~cache:c Config.default dirty))
     systems
 
 (* disk entries live under a generation subdirectory of the cache root *)
@@ -122,20 +109,6 @@ let test_disk_corrupt () =
   check_report "corrupt entries are silently recomputed" baseline
     (report ~cache:(Cache.create ~dir ()) Config.default src)
 
-let test_parallel_pairs () =
-  List.iter
-    (fun sys ->
-      let src = read_file (find_system sys) in
-      let seq = report (config_of Config.Worklist) src in
-      let par_cfg =
-        { Config.default with engine = Config.Worklist; pair_domains = 0 }
-      in
-      check_report (sys ^ " parallel build") seq (report par_cfg src);
-      let c = Cache.create () in
-      check_report (sys ^ " parallel cold") seq (report ~cache:c par_cfg src);
-      check_report (sys ^ " parallel warm") seq (report ~cache:c par_cfg src))
-    systems
-
 let test_par_driver_deterministic () =
   let paths = List.map find_system systems in
   let seq = List.map (fun p -> (Driver.analyze_file p).Driver.report) paths in
@@ -161,7 +134,5 @@ let () =
             test_disk_roundtrip;
           Alcotest.test_case "corrupt entries recomputed" `Quick test_disk_corrupt ] );
       ( "parallel",
-        [ Alcotest.test_case "parallel pair build identical" `Quick
-            test_parallel_pairs;
-          Alcotest.test_case "analyze_files_par deterministic" `Quick
+        [ Alcotest.test_case "analyze_files_par deterministic" `Quick
             test_par_driver_deterministic ] ) ]

@@ -14,6 +14,8 @@
      expected fields;
    - Progress: event lines drive the members-done accounting and the
      rendered line;
+   - --stats text: zero-valued counters are summarized in one line, the
+     stats JSON keeps them all;
    - Benchdiff: identical files gate 0, an injected 25 % slowdown on
      the same host gates 1, a host mismatch is non-blocking, a
      throughput drop counts as a regression, sub-noise rows and
@@ -176,6 +178,45 @@ let fresh () =
   Telemetry.reset ()
 
 let counter_value name = Telemetry.value (Telemetry.counter name)
+
+(* -- --stats text ---------------------------------------------------------------- *)
+
+(* A cache-less analysis leaves most cache.* and fleet.* counters at
+   zero: the text view lists only the nonzero ones and counts the rest
+   on one line, while the stats JSON keeps every counter. *)
+let test_stats_text_hides_zeros () =
+  fresh ();
+  ignore (Driver.analyze_file (find_system "figure2.c"));
+  let counters = Telemetry.counters () in
+  let zero = List.filter (fun (_, v) -> v = 0) counters in
+  Alcotest.(check bool) "some counters are zero" true (zero <> []);
+  Alcotest.(check bool) "some counters moved" true (List.length zero < List.length counters);
+  let text = Fmt.str "%a" Telemetry.pp_stats () in
+  let lines = String.split_on_char '\n' text in
+  let listed name =
+    List.exists
+      (fun l ->
+        match String.split_on_char ' ' (String.trim l) with
+        | n :: _ -> String.equal n name
+        | [] -> false)
+      lines
+  in
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check bool) (name ^ " listed iff nonzero") (v <> 0) (listed name))
+    counters;
+  let summary = Printf.sprintf "(%d zero-valued counters hidden)" (List.length zero) in
+  Alcotest.(check int) "one summary line" 1
+    (List.length (List.filter (fun l -> String.equal (String.trim l) summary) lines));
+  let path = tmpfile ".json" in
+  Telemetry.write_stats_json path;
+  let j = Jsonlite.parse_exn (read_file path) in
+  Sys.remove path;
+  let json_counters =
+    Option.get (Option.bind (Jsonlite.member "counters" j) Jsonlite.to_obj)
+  in
+  Alcotest.(check int) "stats JSON keeps every counter" (List.length counters)
+    (List.length json_counters)
 
 let mk_snapshot ?(pid = 4242) ?(version = Telemetry.snapshot_version)
     ?(counters = []) ?(gauge_names = []) ?(fgauges = []) ?(hists = [])
@@ -658,6 +699,26 @@ let test_benchdiff_noise_immune () =
   let v = diff_docs tiny_old tiny_new in
   Alcotest.(check int) "sub-noise row ignored" 0 (List.length v.Benchdiff.v_deltas)
 
+let test_benchdiff_size_ladder () =
+  (* rows of one array that differ only in size must pair by size, not
+     collapse onto one key *)
+  let doc ms128 =
+    Printf.sprintf
+      {|{"meta":{"hostname":"h"},"b2":[{"workers":32,"t_ms":2.0},
+                                      {"workers":128,"t_ms":%f},
+                                      {"workers":384,"t_ms":25.0}]}|}
+      ms128
+  in
+  let v = diff_docs (doc 9.0) (doc 9.0) in
+  Alcotest.(check int) "every size matched" 3 v.Benchdiff.v_rows_matched;
+  Alcotest.(check int) "no deltas" 0 (List.length v.Benchdiff.v_deltas);
+  let v = diff_docs (doc 9.0) (doc 12.0) in
+  match Benchdiff.regressions v with
+  | [ r ] ->
+    Alcotest.(check bool) "the 128 row regressed" true
+      (Astring.String.is_infix ~affix:"workers=128" r.Benchdiff.d_row)
+  | rs -> Alcotest.fail (Printf.sprintf "expected 1 regression, got %d" (List.length rs))
+
 let () =
   let cleanup f () =
     Fun.protect
@@ -697,6 +758,9 @@ let () =
           (fun name ->
             Alcotest.test_case name `Quick (test_ledger_reconcile name))
           ledger_systems );
+      ( "stats-text",
+        [ Alcotest.test_case "zero counters hidden" `Quick
+            (cleanup test_stats_text_hides_zeros) ] );
       ( "events",
         [ Alcotest.test_case "constructors parse" `Quick test_events_parse ] );
       ( "progress",
@@ -707,5 +771,7 @@ let () =
           Alcotest.test_case "throughput drop gates" `Quick test_benchdiff_throughput_drop;
           Alcotest.test_case "host mismatch non-blocking" `Quick
             test_benchdiff_host_mismatch;
-          Alcotest.test_case "noise immunity" `Quick test_benchdiff_noise_immune ] )
+          Alcotest.test_case "noise immunity" `Quick test_benchdiff_noise_immune;
+          Alcotest.test_case "size ladder rows keyed by size" `Quick
+            test_benchdiff_size_ladder ] )
     ]
