@@ -69,7 +69,6 @@ let pts_get t k = Option.value ~default:Tset.empty (Hashtbl.find_opt t.pts k)
 
 let fold_pts f t acc = Hashtbl.fold f t.pts acc
 
-let fold_heap f t acc = Hashtbl.fold f t.heap acc
 let heap_get t n = Option.value ~default:Tset.empty (Hashtbl.find_opt t.heap n)
 
 (* returns true if the set grew *)

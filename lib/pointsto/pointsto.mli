@@ -51,9 +51,6 @@ val pts_get : t -> key -> Tset.t
 val fold_pts : (key -> Tset.t -> 'a -> 'a) -> t -> 'a -> 'a
 (** fold over every points-to binding (iteration order unspecified) *)
 
-val fold_heap : (Node.t -> Tset.t -> 'a -> 'a) -> t -> 'a -> 'a
-(** fold over every heap cell (iteration order unspecified) *)
-
 val points_to : t -> Ssair.Ir.func -> Ssair.Ir.value -> Tset.t
 (** objects a value may reference *)
 

@@ -25,7 +25,11 @@
    join that certificate emission records.
    Version 8: the "pointsto" result record lost its unused region-handle
    table, changing its marshalled layout; the "phase3" key no longer
-   names an engine.  Headers and payload digests are as in version 7. *)
+   names an engine.  Headers and payload digests are as in version 7.
+   The "pair" namespace (per-pair phase-3 edge blocks) was later retired
+   without a bump: no remaining namespace changed layout, and "pair-*"
+   files in an existing version-8 generation are simply never read
+   again. *)
 let format_version = 8
 
 let magic = "SAFEFLOW-CACHE"
@@ -79,7 +83,7 @@ let c_cross_hits = Telemetry.counter "cache.cross_hits"
 let () =
   List.iter
     (fun ns -> List.iter (fun o -> ignore (tele_counter ns o)) outcomes)
-    [ "prepared"; "phase1"; "phase2"; "phase2fn"; "pointsto"; "phase3"; "pair"; "absint" ]
+    [ "prepared"; "phase1"; "phase2"; "phase2fn"; "pointsto"; "phase3"; "absint" ]
 
 (* -- origin tracking ------------------------------------------------------------
 

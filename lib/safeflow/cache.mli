@@ -12,7 +12,7 @@
     many types); safety is by the namespace discipline: a namespace is
     only ever read and written with one type.  All in-memory operations
     are mutex-guarded, so one cache may be shared by the domains of
-    {!Driver.analyze_files_par} and the pair-build pool of {!Vfgraph}.
+    {!Driver.analyze_files_par}.
 
     {b Disk-tier concurrency protocol.}  On-disk entries (one file per
     entry) live under a {e generation-stamped} subdirectory of the cache

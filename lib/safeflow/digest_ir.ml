@@ -84,22 +84,4 @@ let phase1_by_func (p1 : Phase1.t) : (string, string) Hashtbl.t =
     p1.Phase1.ret_facts;
   by_func_digests !entries
 
-let pointsto_by_func (pts : Pointsto.t) : (string, string) Hashtbl.t * string =
-  let entries =
-    Pointsto.fold_pts
-      (fun key s acc ->
-        let fname =
-          match key with
-          | Pointsto.Kreg (f, _) | Pointsto.Kparam (f, _) | Pointsto.Kret f -> f
-        in
-        (fname, (key, Pointsto.Tset.elements s)) :: acc)
-      pts []
-  in
-  let heap =
-    of_value
-      (List.sort compare
-         (Pointsto.fold_heap (fun n s acc -> (n, Pointsto.Tset.elements s) :: acc) pts []))
-  in
-  (by_func_digests entries, heap)
-
 let shm (s : Shm.t) = of_value (s.Shm.regions, s.Shm.init_funcs)

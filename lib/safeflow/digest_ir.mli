@@ -46,13 +46,9 @@ val phase1_by_func : Phase1.t -> (string, string) Hashtbl.t
     function (register, parameter and return facts); functions without
     facts are absent — use {!facts_digest} for a total lookup *)
 
-val pointsto_by_func : Pointsto.t -> (string, string) Hashtbl.t * string
-(** per-function digest of the points-to bindings keyed by that
-    function, plus the digest of the global heap graph *)
-
 val facts_digest : (string, string) Hashtbl.t -> string -> string
-(** total lookup into the tables above: a fixed "no facts" digest for
-    absent functions *)
+(** total lookup into a {!phase1_by_func} table: a fixed "no facts"
+    digest for absent functions *)
 
 val shm : Shm.t -> string
 (** digest of the region model (layout, non-coreness, init functions) *)

@@ -1,8 +1,9 @@
 (** End-to-end SafeFlow pipeline: MiniC source → SSA IR → shared-memory
     model → phases 1–3 → report.
 
-    The staged API ({!prepare}, {!stage1}...) exists so the benchmark
-    harness can time each phase separately (experiment B1). *)
+    The staged API ({!prepare_source}, {!stage_shm}, {!stage_phase1},
+    ... {!stage_phase3}) exists so the benchmark harnesses can time each
+    phase separately. *)
 
 open Minic
 
@@ -146,9 +147,10 @@ let stage_phase2 ?config ?cache ?digests ?absint (p : prepared) (p1 : Phase1.t) 
    report-visible lists verbatim (order preserved) plus the taint tables
    as association lists, from which a fresh state is rebuilt for the VFG
    export.  A warm rerun of an unchanged program restores from here and
-   skips propagation entirely.  {!Vfgraph.run} additionally caches
-   per-pair edge blocks, so an edit that misses this tier still rebuilds
-   only the edited functions' dependent pairs. *)
+   skips propagation entirely.  An edit that misses this tier re-walks
+   every pair: the walk is cheaper than reading per-pair entries back,
+   and the per-function tiers upstream (["phase2fn"], ["absint"]) still
+   hit for unchanged functions. *)
 type phase3_cached = {
   lc_warnings : Report.warning list;
   lc_dependencies : Report.dependency list;
@@ -162,7 +164,7 @@ type phase3_cached = {
 
 let stage_phase3 ?(config = Config.default) ?cache ?digests ?absint (p : prepared)
     (shm : Shm.t) (p1 : Phase1.t) (pts : Pointsto.t) : Phase3.result =
-  let runner () = Vfgraph.run ~config ?cache ?digests ?absint p.ir shm p1 pts in
+  let runner () = Vfgraph.run ~config ?absint p.ir shm p1 pts in
   let restore (lc : phase3_cached) : Phase3.result =
     let st = Phase3.make_state ~config ?absint p.ir shm p1 pts in
     List.iter (fun (e, o) -> Hashtbl.replace st.Phase3.data e o) lc.lc_data;

@@ -42,8 +42,6 @@ let iter f t =
     f i t.rev.(i)
   done
 
-let to_array t = Array.sub t.rev 0 t.len
-
 module Packed = struct
   (* Open-addressed (linear probing) int-key hash table mapping packed
      integer keys to dense ids.  Compared to [int t] above this avoids
@@ -112,15 +110,6 @@ module Packed = struct
       if 2 * t.len > t.mask then grow t;
       i
     end
-
-  let find_opt t k =
-    let j = ref (slot_of t.mask k) in
-    let id = ref (Array.unsafe_get t.ids !j) in
-    while !id >= 0 && Array.unsafe_get t.keys !j <> k do
-      j := (!j + 1) land t.mask;
-      id := Array.unsafe_get t.ids !j
-    done;
-    if !id >= 0 then Some !id else None
 
   let length t = t.len
 end

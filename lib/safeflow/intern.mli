@@ -21,10 +21,6 @@ val length : 'a t -> int
 
 val iter : (int -> 'a -> unit) -> 'a t -> unit
 
-val to_array : 'a t -> 'a array
-(** the interned values in id order (a fresh array of length
-    {!length}) *)
-
 (** Interner specialized to packed integer keys (open addressing over
     flat int arrays — no per-entry allocation, no structural hashing).
     The sparse engine packs taint-entity descriptors and (function id,
@@ -39,9 +35,6 @@ module Packed : sig
   val intern : t -> int -> int
   (** dense id of the key, allocating the next id on first sight.
       Detect first sight by comparing {!length} before and after. *)
-
-  val find_opt : t -> int -> int option
-  (** id of the key if already interned *)
 
   val length : t -> int
 end

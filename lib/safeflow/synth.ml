@@ -153,7 +153,7 @@ let default_fleet =
    function sits at the same (line, col) in every member that includes
    it.  Content digests include source positions; the identical-prefix
    layout is what lets per-function cache entries (absint summaries,
-   phase-2 verdicts, pair edge blocks) hit across members when the
+   phase-2 verdicts) hit across members when the
    sources are analyzed under one normalized source label. *)
 let fleet ?(seed = 1) (fp : fleet_params) : (string * string) list =
   let nregions = 2 in

@@ -11,10 +11,9 @@
 
     Spans use a monotonic clock (CLOCK_MONOTONIC via a C stub) and a
     per-domain span stack ([Domain.DLS]), so instrumented code running on
-    worker domains — the pair-build pool of {!Vfgraph}, the multi-system
-    driver — records correctly-nested spans for its own domain without
-    synchronizing with other domains; finished spans are merged into one
-    global list under a mutex.  Counters are process-global atomics
+    the multi-system driver's worker domains records correctly-nested
+    spans for its own domain without synchronizing with other domains;
+    finished spans are merged into one global list under a mutex.  Counters are process-global atomics
     keyed by name, shared by all domains.
 
     Fleet aggregation (PR 8): telemetry is per-process, so a forked

@@ -23,8 +23,8 @@
     everywhere the report classifies, so classifications agree. *)
 
 (** CSR (compressed sparse row) adjacency over dense entity ids: the
-    flat edge list the replay appends to is finalized once — between the
-    last block replay and the worklist drain — into offset/target/info
+    flat edge list the pair walks append to is finalized once — between
+    the last pair walk and the worklist drain — into offset/target/info
     arrays, so the drain walks each entity's successors as one array
     slice.  Exposed for the property tests in [test/test_csr.ml]. *)
 module Csr : sig
@@ -46,8 +46,6 @@ end
 
 val run :
   ?config:Config.t ->
-  ?cache:Cache.t ->
-  ?digests:Digest_ir.t ->
   ?absint:Absint.t ->
   Ssair.Ir.program ->
   Shm.t ->
@@ -60,12 +58,6 @@ val run :
     [result.engine_stats] reports interned-entity, edge and worklist-pop
     counters.
 
-    With [~cache] and [~digests], each (function, context) edge block is
-    keyed on a content digest of everything its builder reads (function
-    body, its phase-1 and points-to facts, the region model, heap graph,
-    type environment, callee signatures and own-assumptions, semantic
-    config, monitoring context) — a warm rerun replays cached blocks
-    without re-scanning any instruction, and a one-function edit rebuilds
-    only the pairs whose dependency digest changed.  Blocks are replayed
-    in discovery order, so reports are bit-identical to the cache-less
-    run. *)
+    Each discovered (function, context) pair is walked once, in
+    discovery order, straight into the graph.  Caching is the caller's
+    business: {!Driver.stage_phase3} stores the whole result. *)

@@ -109,6 +109,26 @@ let test_disk_corrupt () =
   check_report "corrupt entries are silently recomputed" baseline
     (report ~cache:(Cache.create ~dir ()) Config.default src)
 
+(* A cold disk run writes exactly the live namespaces: phase 3 is cached
+   as a whole result only, never per (function, context) pair. *)
+let test_disk_namespaces () =
+  let dir = "tmp_cache_namespaces" in
+  clear_dir dir;
+  let src = read_file (find_system "ip_controller.c") in
+  ignore (report ~cache:(Cache.create ~dir ()) Config.default src);
+  let prefixes =
+    entry_files dir
+    |> List.filter_map (fun f ->
+           let b = Filename.basename f in
+           if Filename.check_suffix b ".bin" then
+             Option.map (fun i -> String.sub b 0 i) (String.index_opt b '-')
+           else None)
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check (list string)) "entry namespaces"
+    [ "absint"; "phase1"; "phase2"; "phase2fn"; "phase3"; "pointsto"; "prepared" ]
+    prefixes
+
 let test_par_driver_deterministic () =
   let paths = List.map find_system systems in
   let seq = List.map (fun p -> (Driver.analyze_file p).Driver.report) paths in
@@ -132,7 +152,9 @@ let () =
       ( "disk",
         [ Alcotest.test_case "round trip through a fresh cache" `Quick
             test_disk_roundtrip;
-          Alcotest.test_case "corrupt entries recomputed" `Quick test_disk_corrupt ] );
+          Alcotest.test_case "corrupt entries recomputed" `Quick test_disk_corrupt;
+          Alcotest.test_case "cold run writes only live namespaces" `Quick
+            test_disk_namespaces ] );
       ( "parallel",
         [ Alcotest.test_case "analyze_files_par deterministic" `Quick
             test_par_driver_deterministic ] ) ]
