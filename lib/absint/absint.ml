@@ -172,6 +172,7 @@ module Ir = Ssair.Ir
 
 type fctx = {
   func : Ir.func;
+  blocks : (Ir.bid, Ir.block) Hashtbl.t;  (* [Ir.block_table func] *)
   defs : (Ir.vid, Ir.def_site) Hashtbl.t;
   preds : (Ir.bid, Ir.bid list) Hashtbl.t;
   env : (key, Itv.t) Hashtbl.t;
@@ -406,7 +407,7 @@ let rec refine_cond ctx v pol depth : (key * Itv.t) list =
         match p.Ir.incoming with
         | [ (b1, v1); (b2, v2) ] -> (
           let classify (ba, va) (br, vr) =
-            match ((Ir.block ctx.func ba).Ir.termin, va) with
+            match ((Hashtbl.find ctx.blocks ba).Ir.termin, va) with
             | Ir.Cbr (Ir.Vreg c, tb, eb), Ir.Vreg vc when vc = c && tb <> eb ->
               if eb = pblk && tb = br then Some (`And, c, vr)
               else if tb = pblk && eb = br then Some (`Or, c, vr)
@@ -460,7 +461,7 @@ let chain_refinements ctx blk =
     else
       match Hashtbl.find_opt ctx.preds current with
       | Some [ p ] -> (
-        match Ir.block_opt ctx.func p with
+        match Hashtbl.find_opt ctx.blocks p with
         | Some pp ->
           let acc =
             match pp.Ir.termin with
@@ -477,24 +478,24 @@ let chain_refinements ctx blk =
 let eval_phi ctx b (p : Ir.phi) =
   List.fold_left
     (fun acc (pred, v) ->
-      match Ir.block_opt ctx.func pred with
+      match Hashtbl.find_opt ctx.blocks pred with
       | None -> acc
       | Some pb ->
         if not (Hashtbl.mem ctx.reach pred) then acc
         else if not (edge_feasible ctx pb b.Ir.bbid) then acc
         else
           let base = eval_value ctx v in
-          let refs =
-            (match pb.Ir.termin with
-            | Ir.Cbr (c, tb, eb) when tb <> eb ->
-              refine_cond ctx c (b.Ir.bbid = tb) 0
-            | _ -> [])
-            @ chain_refinements ctx pred
-          in
           let refined =
             match key_of_value v with
-            | None -> base
+            | None -> base  (* a constant: no refinement can name it *)
             | Some k ->
+              let refs =
+                (match pb.Ir.termin with
+                | Ir.Cbr (c, tb, eb) when tb <> eb ->
+                  refine_cond ctx c (b.Ir.bbid = tb) 0
+                | _ -> [])
+                @ chain_refinements ctx pred
+              in
               List.fold_left
                 (fun acc' (k', itv) -> if k' = k then Itv.meet acc' itv else acc')
                 base refs
@@ -528,6 +529,7 @@ let run_function ~(prog : Ir.program) ~params ~ret_of (f : Ir.func) : func_summa
   let ctx =
     {
       func = f;
+      blocks = Ir.block_table f;
       defs = Ir.def_table f;
       preds = Ir.predecessors f;
       env = Hashtbl.create 64;
@@ -539,7 +541,7 @@ let run_function ~(prog : Ir.program) ~params ~ret_of (f : Ir.func) : func_summa
     }
   in
   let rpo = Ir.reverse_postorder f in
-  let blocks = List.filter_map (Ir.block_opt f) rpo in
+  let blocks = List.filter_map (Hashtbl.find_opt ctx.blocks) rpo in
   Hashtbl.replace ctx.reach f.Ir.fentry ();
   let set k v changed =
     let old = lookup ctx k in
@@ -663,16 +665,29 @@ let summary_repr s =
   Buffer.contents b
 
 let analyze ?memo (prog : Ir.program) : t =
+  (* Last definition wins, unlike [Ir.func_table]: the frontend accepts a
+     repeated function name, and this choice decides which body a call's
+     summary and its cache key come from, so it must not change. *)
   let defined = Hashtbl.create 16 in
   List.iter (fun f -> Hashtbl.replace defined f.Ir.fname f) prog.Ir.funcs;
+  (* each function's defined callees, computed once per body (a repeated
+     name is another body, hence the physical comparison) *)
+  let callee_lists = Hashtbl.create 16 in
   let callees_of f =
-    List.filter_map
-      (fun (i : Ir.instr) ->
-        match i.Ir.idesc with
-        | Ir.Call { callee; _ } when Hashtbl.mem defined callee -> Some callee
-        | _ -> None)
-      (Ir.all_instrs f)
-    |> List.sort_uniq compare
+    match Hashtbl.find_opt callee_lists f.Ir.fname with
+    | Some (g, cs) when g == f -> cs
+    | _ ->
+      let cs =
+        List.filter_map
+          (fun (i : Ir.instr) ->
+            match i.Ir.idesc with
+            | Ir.Call { callee; _ } when Hashtbl.mem defined callee -> Some callee
+            | _ -> None)
+          (Ir.all_instrs f)
+        |> List.sort_uniq compare
+      in
+      Hashtbl.replace callee_lists f.Ir.fname (f, cs);
+      cs
   in
   let names = List.map (fun f -> f.Ir.fname) prog.Ir.funcs in
   let succs n =
@@ -697,24 +712,31 @@ let analyze ?memo (prog : Ir.program) : t =
   let ret_of callee =
     match Hashtbl.find_opt rets callee with Some i -> i | None -> Itv.top
   in
-  let analyze_one f ~params =
-    let digest =
-      Digest.string
-        (String.concat "\x00"
-           (text_of f.Ir.fname
-           :: List.map (fun (p, i) -> p ^ "=" ^ pp_itv_string i) params
-           @ List.map (fun c -> c ^ ":" ^ pp_itv_string (ret_of c)) (callees_of f)))
-      |> Digest.to_hex
+  (* A summary is a function of the body, the parameter ranges and the
+     defined callees' return ranges, and nothing else: [inputs_of] is
+     that tuple, and the memo's digest is its printed form. *)
+  let inputs_of f ~params = (params, List.map (fun c -> (c, ret_of c)) (callees_of f)) in
+  let analyze_one f (params, callee_rets) =
+    let inputs_digest =
+      lazy
+        (Digest.string
+           (String.concat "\x00"
+              (text_of f.Ir.fname
+              :: List.map (fun (p, i) -> p ^ "=" ^ pp_itv_string i) params
+              @ List.map (fun (c, i) -> c ^ ":" ^ pp_itv_string i) callee_rets))
+        |> Digest.to_hex)
     in
-    memo ~fname:f.Ir.fname ~inputs_digest:digest (fun () ->
-        run_function ~prog ~params ~ret_of f)
+    memo ~fname:f.Ir.fname ~inputs_digest (fun () -> run_function ~prog ~params ~ret_of f)
   in
   let top_params f = List.map (fun (p, _) -> (p, Itv.top)) f.Ir.fparams in
   (* pass 1, bottom-up: return summaries under unconstrained parameters *)
+  let pass1 = Hashtbl.create 16 in
   List.iter
     (List.iter (fun n ->
          let f = Hashtbl.find defined n in
-         let s = analyze_one f ~params:(top_params f) in
+         let inputs = inputs_of f ~params:(top_params f) in
+         let s = analyze_one f inputs in
+         Hashtbl.replace pass1 n (inputs, s);
          Hashtbl.replace rets n s.s_ret))
     (Dataflow.Scc.reverse_topological scc);
   (* call-site counts: entry points (never called) keep ⊤ parameters *)
@@ -780,7 +802,14 @@ let analyze ?memo (prog : Ir.program) : t =
                    (p, if Itv.is_bot itv then Itv.top else itv))
                  f.Ir.fparams
          in
-         let s = analyze_one f ~params in
+         (* equal inputs mean an equal digest: reuse the pass-1 summary
+            instead of solving (or looking up) the function again *)
+         let inputs = inputs_of f ~params in
+         let s =
+           match Hashtbl.find_opt pass1 n with
+           | Some (inputs1, s1) when inputs1 = inputs -> s1
+           | _ -> analyze_one f inputs
+         in
          Hashtbl.replace summaries n s;
          let env = Hashtbl.create 64 in
          List.iter (fun (k, v) -> Hashtbl.replace env k v) s.s_env;
@@ -810,13 +839,8 @@ let dead_branch t ~fname ~bid =
 (* -- Query context (dominator-refined ranges at a program point) --------- *)
 
 type qctx = {
-  q_t : t;
-  q_func : Ir.func;
-  q_defs : (Ir.vid, Ir.def_site) Hashtbl.t;
+  q_ctx : fctx;  (* the function's blocks, defs, preds, env and params *)
   q_dom : Ssair.Dom.tree;
-  q_preds : (Ir.bid, Ir.bid list) Hashtbl.t;
-  q_env : (key, Itv.t) Hashtbl.t;
-  q_params : (string * Itv.t) list;
 }
 
 let query_ctx t (f : Ir.func) =
@@ -830,35 +854,28 @@ let query_ctx t (f : Ir.func) =
     | Some s -> s.s_params
     | None -> []
   in
-  {
-    q_t = t;
-    q_func = f;
-    q_defs = Ir.def_table f;
-    q_dom = Ssair.Dom.compute f;
-    q_preds = Ir.predecessors f;
-    q_env = env;
-    q_params = params;
-  }
-
-let qctx_as_fctx q =
-  {
-    func = q.q_func;
-    defs = q.q_defs;
-    preds = q.q_preds;
-    env = q.q_env;
-    params = q.q_params;
-    ret_of = (fun _ -> Itv.top);
-    reach = Hashtbl.create 0;
-    iters = 0;
-    widens = 0;
-  }
+  let ctx =
+    {
+      func = f;
+      blocks = Ir.block_table f;
+      defs = Ir.def_table f;
+      preds = Ir.predecessors f;
+      env;
+      params;
+      ret_of = (fun _ -> Itv.top);
+      reach = Hashtbl.create 0;
+      iters = 0;
+      widens = 0;
+    }
+  in
+  { q_ctx = ctx; q_dom = Ssair.Dom.compute f }
 
 (* branch refinements from conditions dominating [bid]; mirrors Phase 2's
    dominating_constraints (edge dominance via single-predecessor test) *)
 let dominating_refinements q bid =
-  let ctx = qctx_as_fctx q in
+  let ctx = q.q_ctx in
   let single_pred blk from =
-    match Hashtbl.find_opt q.q_preds blk with Some [ p ] -> p = from | _ -> false
+    match Hashtbl.find_opt ctx.preds blk with Some [ p ] -> p = from | _ -> false
   in
   let rec climb child acc =
     match Ssair.Dom.idom q.q_dom child with
@@ -866,7 +883,7 @@ let dominating_refinements q bid =
     | Some parent when parent = child -> acc
     | Some parent ->
       let acc =
-        match (Ir.block q.q_func parent).Ir.termin with
+        match (Hashtbl.find ctx.blocks parent).Ir.termin with
         | Ir.Cbr (c, tb, eb) when tb <> eb -> (
           let polarity =
             if child = tb && single_pred child parent then Some true
@@ -885,9 +902,9 @@ let dominating_refinements q bid =
 let range_of_key q ~at k =
   let base =
     match k with
-    | Kvid id -> Option.value ~default:Itv.Bot (Hashtbl.find_opt q.q_env (Kvid id))
+    | Kvid id -> Option.value ~default:Itv.Bot (Hashtbl.find_opt q.q_ctx.env (Kvid id))
     | Kparam p ->
-      (match List.assoc_opt p q.q_params with Some i -> i | None -> Itv.top)
+      (match List.assoc_opt p q.q_ctx.params with Some i -> i | None -> Itv.top)
   in
   List.fold_left
     (fun acc (k', itv) -> if k' = k then Itv.meet acc itv else acc)
@@ -905,11 +922,11 @@ let range_of_sym q ~at sym =
   let n = String.length sym in
   if n > 1 && sym.[0] = 'v' then
     match int_of_string_opt (String.sub sym 1 (n - 1)) with
-    | Some id when Hashtbl.mem q.q_defs id -> Some (range_of_key q ~at (Kvid id))
+    | Some id when Hashtbl.mem q.q_ctx.defs id -> Some (range_of_key q ~at (Kvid id))
     | _ -> None
   else if n > 2 && sym.[0] = 'p' && sym.[1] = '_' then
     let p = String.sub sym 2 (n - 2) in
-    if List.mem_assoc p q.q_func.Ir.fparams then Some (range_of_key q ~at (Kparam p))
+    if List.mem_assoc p q.q_ctx.func.Ir.fparams then Some (range_of_key q ~at (Kparam p))
     else None
   else None
 

@@ -73,14 +73,20 @@ type t
 (** whole-program result *)
 
 val analyze :
-  ?memo:(fname:string -> inputs_digest:string -> (unit -> func_summary) -> func_summary) ->
+  ?memo:
+    (fname:string -> inputs_digest:string Lazy.t -> (unit -> func_summary) -> func_summary) ->
   Ssair.Ir.program ->
   t
 (** [analyze prog] runs both interprocedural passes.  [~memo] is called
     around every per-function fixpoint with a digest of everything the
     fixpoint reads (function body, parameter ranges, callee return
     ranges); the driver uses it to back the computation with the
-    content-addressed cache. *)
+    content-addressed cache.  The digest is lazy because it prints the
+    function's IR: a memo that does not key on it must not force it.
+    The top-down pass reuses a function's bottom-up summary, without
+    calling [~memo], when its parameter and callee-return ranges are
+    unchanged, so the memo runs once per function unless the top-down
+    pass narrows one of those ranges. *)
 
 val summary_digest : t -> string -> string
 (** stable digest of a function's summary (empty string when the

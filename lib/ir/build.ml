@@ -15,7 +15,8 @@ type builder = {
   blocks : (Ir.bid, Ir.block) Hashtbl.t;
   mutable cur : Ir.bid;
   mutable sealed : bool;  (** current block already has a terminator *)
-  slots : (string, Ir.vid) Hashtbl.t;  (** unique local name → alloca id *)
+  slots : (string, Ir.vid * Ty.t) Hashtbl.t;
+      (** unique local name → alloca id and allocated type *)
   mutable break_targets : Ir.bid list;
   mutable continue_targets : Ir.bid list;
   globals : (string, Ty.t) Hashtbl.t;
@@ -39,13 +40,15 @@ let switch_to b bid =
   b.cur <- bid;
   b.sealed <- false
 
-(** Append an instruction to the current block, returning its result id. *)
+(** Append an instruction to the current block, returning its result id.
+    Blocks collect their instructions newest first; {!lower_func}
+    restores source order once the function is lowered. *)
 let emit ?(loc = Loc.dummy) b ity idesc =
   let iid = fresh_id b in
   let i = { Ir.iid; idesc; ity; iloc = loc } in
   if not b.sealed then begin
     let blk = cur_block b in
-    blk.instrs <- blk.instrs @ [ i ]
+    blk.instrs <- i :: blk.instrs
   end;
   iid
 
@@ -75,7 +78,7 @@ let bool_of v b ty loc =
 let rec lower_addr b (e : Tast.texpr) : Ir.value =
   let loc = e.tloc in
   match e.tdesc with
-  | Tast.Tlocal x -> Ir.Vreg (Hashtbl.find b.slots x)
+  | Tast.Tlocal x -> Ir.Vreg (fst (Hashtbl.find b.slots x))
   | Tast.Tglobal g -> Ir.Vglobal g
   | Tast.Tderef p -> lower_value b p
   | Tast.Tindex (base, idx) ->
@@ -144,7 +147,7 @@ and lower_value b (e : Tast.texpr) : Ir.value =
   | Tast.Tcond (c, x, y) ->
     (* ternary through a temporary slot; mem2reg turns it into a phi *)
     let slot = emit ~loc b (Ty.Ptr e.tty) (Ir.Alloca { aname = "$cond"; aty = e.tty }) in
-    Hashtbl.replace b.slots (Fmt.str "$cond%d" slot) slot;
+    Hashtbl.replace b.slots (Fmt.str "$cond%d" slot) (slot, e.tty);
     let cv = lower_value b c in
     let cb = bool_of cv b c.tty loc in
     let then_b = new_block b in
@@ -164,7 +167,7 @@ and lower_value b (e : Tast.texpr) : Ir.value =
 
 and lower_shortcircuit b ~is_and lhs rhs loc =
   let slot = emit ~loc b (Ty.Ptr Ty.Int) (Ir.Alloca { aname = "$sc"; aty = Ty.Int }) in
-  Hashtbl.replace b.slots (Fmt.str "$sc%d" slot) slot;
+  Hashtbl.replace b.slots (Fmt.str "$sc%d" slot) (slot, Ty.Int);
   let va = lower_value b lhs in
   let ba = bool_of va b lhs.Tast.tty loc in
   ignore (emit ~loc b Ty.Void (Ir.Store { ptr = Ir.Vreg slot; sval = ba; sty = Ty.Int }));
@@ -191,7 +194,7 @@ and lower_stmt b (s : Tast.tstmt) =
   | Tast.TSdecl (_, _, None) -> ()
   | Tast.TSdecl (x, ty, Some init) ->
     let v = lower_value b init in
-    let slot = Hashtbl.find b.slots x in
+    let slot, _ = Hashtbl.find b.slots x in
     ignore (emit ~loc b Ty.Void (Ir.Store { ptr = Ir.Vreg slot; sval = v; sty = ty }))
   | Tast.TSif (c, t, e) ->
     let cv = lower_value b c in
@@ -317,24 +320,9 @@ and lower_stmt b (s : Tast.tstmt) =
           match c with
           | Annot.Assert_safe x -> (
             match Hashtbl.find_opt b.slots x with
-            | Some slot ->
+            | Some (slot, ty) ->
               (* the variable's current value: a load that mem2reg will
                  rewrite into the reaching SSA definition *)
-              let ty =
-                match
-                  List.find_map
-                    (fun blk ->
-                      List.find_map
-                        (fun ins ->
-                          match ins.Ir.idesc with
-                          | Ir.Alloca { aty; _ } when ins.Ir.iid = slot -> Some aty
-                          | _ -> None)
-                        blk.Ir.instrs)
-                    (Hashtbl.fold (fun _ blk acc -> blk :: acc) b.blocks [])
-                with
-                | Some t -> t
-                | None -> Ty.Double
-              in
               Some (emit_v ~loc b ty (Ir.Load { ptr = Ir.Vreg slot; lty = ty }))
             | None -> None)
           | _ -> None
@@ -373,13 +361,13 @@ let lower_func env globals (tf : Tast.tfunc) : Ir.func =
   List.iter
     (fun (name, ty) ->
       let slot = emit b (Ty.Ptr ty) (Ir.Alloca { aname = name; aty = ty }) in
-      Hashtbl.replace b.slots name slot;
+      Hashtbl.replace b.slots name (slot, ty);
       ignore (emit b Ty.Void (Ir.Store { ptr = Ir.Vreg slot; sval = Ir.Vparam name; sty = ty })))
     tf.tf_params;
   List.iter
     (fun (name, ty) ->
       let slot = emit b (Ty.Ptr ty) (Ir.Alloca { aname = name; aty = ty }) in
-      Hashtbl.replace b.slots name slot)
+      Hashtbl.replace b.slots name (slot, ty))
     tf.tf_locals;
   (* function-level annotations become pseudo-instructions at entry *)
   List.iter
@@ -394,6 +382,7 @@ let lower_func env globals (tf : Tast.tfunc) : Ir.func =
     Hashtbl.fold (fun _ blk acc -> blk :: acc) b.blocks []
     |> List.sort (fun x y -> compare x.Ir.bbid y.Ir.bbid)
   in
+  List.iter (fun blk -> blk.Ir.instrs <- List.rev blk.Ir.instrs) blocks;
   let f =
     {
       Ir.fname = tf.tf_name;

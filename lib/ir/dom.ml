@@ -75,7 +75,10 @@ let compute_generic ~(root : Ir.bid) ~(nodes : Ir.bid list)
 let compute (f : Ir.func) : tree =
   let preds_tbl = Ir.predecessors f in
   let preds n = Option.value ~default:[] (Hashtbl.find_opt preds_tbl n) in
-  let succs n = match Ir.block_opt f n with Some b -> Ir.successors f b | None -> [] in
+  let blocks = Ir.block_table f in
+  let succs n =
+    match Hashtbl.find_opt blocks n with Some b -> Ir.successors f b | None -> []
+  in
   compute_generic ~root:f.fentry ~nodes:(List.map (fun b -> b.Ir.bbid) f.blocks) ~preds ~succs
 
 let idom t n = if n = t.root then None else Hashtbl.find_opt t.idom n
@@ -86,6 +89,24 @@ let children t n = Option.value ~default:[] (Hashtbl.find_opt t.children n)
 let dominates t a b =
   let rec go n = if n = a then true else if n = t.root then false else go (Hashtbl.find t.idom n) in
   if not (Hashtbl.mem t.idom b) then false else go b
+
+(* [a] dominates [b] iff [b]'s preorder interval in the tree nests in
+   [a]'s; nodes outside the tree (unreachable) dominate nothing and are
+   dominated by nothing, as in [dominates] *)
+let dominance_oracle t =
+  let enter = Hashtbl.create 64 and leave = Hashtbl.create 64 in
+  let clock = ref 0 in
+  let rec number n =
+    Hashtbl.replace enter n !clock;
+    incr clock;
+    List.iter number (children t n);
+    Hashtbl.replace leave n !clock
+  in
+  number t.root;
+  fun a b ->
+    match (Hashtbl.find_opt enter a, Hashtbl.find_opt enter b) with
+    | Some ea, Some eb -> ea <= eb && Hashtbl.find leave b <= Hashtbl.find leave a
+    | _ -> false
 
 (** Dominance frontiers per Cytron et al. *)
 let frontiers (f : Ir.func) (t : tree) : (Ir.bid, Ir.bid list) Hashtbl.t =
@@ -121,6 +142,7 @@ let virtual_exit : Ir.bid = -1
 
 let compute_post (f : Ir.func) : tree =
   let preds_tbl = Ir.predecessors f in
+  let blocks = Ir.block_table f in
   let exits =
     List.filter_map
       (fun b ->
@@ -158,6 +180,8 @@ let compute_post (f : Ir.func) : tree =
     close ();
     exits @ !extra
   in
+  let is_exit = Hashtbl.create 16 in
+  List.iter (fun n -> Hashtbl.replace is_exit n ()) exits;
   (* reversed edges: succs in reverse graph = CFG preds (+ virtual exit) *)
   let rsuccs n =
     if n = virtual_exit then exits
@@ -167,9 +191,9 @@ let compute_post (f : Ir.func) : tree =
     if n = virtual_exit then []
     else
       let cfg_succs =
-        match Ir.block_opt f n with Some b -> Ir.successors f b | None -> []
+        match Hashtbl.find_opt blocks n with Some b -> Ir.successors f b | None -> []
       in
-      if List.mem n exits then virtual_exit :: cfg_succs else cfg_succs
+      if Hashtbl.mem is_exit n then virtual_exit :: cfg_succs else cfg_succs
   in
   compute_generic ~root:virtual_exit
     ~nodes:(virtual_exit :: List.map (fun b -> b.Ir.bbid) f.blocks)

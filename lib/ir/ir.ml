@@ -97,6 +97,22 @@ let block_opt f bid = List.find_opt (fun b -> b.bbid = bid) f.blocks
 
 let find_func p name = List.find_opt (fun f -> String.equal f.fname name) p.funcs
 
+(** Block-id index of [f]: O(1) lookups where {!block_opt} scans the
+    block list.  The first block with a given id wins, as in
+    {!block_opt}.  The table is a snapshot: build it after the last
+    change to [f.blocks] and keep it local to one pass. *)
+let block_table f =
+  let t = Hashtbl.create (List.length f.blocks) in
+  List.iter (fun b -> if not (Hashtbl.mem t b.bbid) then Hashtbl.add t b.bbid b) f.blocks;
+  t
+
+(** Name index of [p]'s functions; the first function with a given name
+    wins, as in {!find_func}.  Build once per pass and keep it local. *)
+let func_table p =
+  let t = Hashtbl.create (List.length p.funcs) in
+  List.iter (fun f -> if not (Hashtbl.mem t f.fname) then Hashtbl.add t f.fname f) p.funcs;
+  t
+
 let succs_of_term = function
   | Br b -> [ b ]
   | Cbr (_, t, e) -> if t = e then [ t ] else [ t; e ]
@@ -120,12 +136,13 @@ let predecessors f =
 
 (** Reverse postorder of the reachable blocks, entry first. *)
 let reverse_postorder f =
+  let blocks = block_table f in
   let visited = Hashtbl.create 16 in
   let order = ref [] in
   let rec dfs bid =
     if not (Hashtbl.mem visited bid) then begin
       Hashtbl.replace visited bid ();
-      (match block_opt f bid with
+      (match Hashtbl.find_opt blocks bid with
       | Some b -> List.iter dfs (successors f b)
       | None -> ());
       order := bid :: !order

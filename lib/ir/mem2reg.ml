@@ -31,7 +31,9 @@ let promotable_slots (f : Ir.func) : (Ir.vid, slot_info) Hashtbl.t =
           | _ -> ())
         b.Ir.instrs)
     f.blocks;
-  (* disqualify address-escaping slots and record def blocks *)
+  (* disqualify address-escaping slots and record def blocks (in order of
+     first store; [seen_def] keeps the membership test O(1)) *)
+  let seen_def = Hashtbl.create 64 in
   List.iter
     (fun b ->
       List.iter
@@ -47,8 +49,10 @@ let promotable_slots (f : Ir.func) : (Ir.vid, slot_info) Hashtbl.t =
             | Ir.Vreg id -> (
               match Hashtbl.find_opt slots id with
               | Some si ->
-                if not (List.mem b.Ir.bbid si.def_blocks) then
+                if not (Hashtbl.mem seen_def (id, b.Ir.bbid)) then begin
+                  Hashtbl.replace seen_def (id, b.Ir.bbid) ();
                   si.def_blocks <- b.Ir.bbid :: si.def_blocks
+                end
               | None -> ())
             | _ -> ())
           | _ -> List.iter disqualify (Ir.operands_of_instr i))
@@ -72,6 +76,7 @@ let run_func (f : Ir.func) : int =
   else begin
     let tree = Dom.compute f in
     let df = Dom.frontiers f tree in
+    let blocks = Ir.block_table f in
     (* fresh ids continue after the maximum existing id *)
     let max_id = ref 0 in
     List.iter
@@ -98,7 +103,7 @@ let run_func (f : Ir.func) : int =
             (fun fb ->
               if not (Hashtbl.mem has_phi (fb, slot_id)) then begin
                 Hashtbl.replace has_phi (fb, slot_id) ();
-                let blk = Ir.block f fb in
+                let blk = Hashtbl.find blocks fb in
                 let pid = fresh () in
                 blk.phis <-
                   { Ir.pid; pty = si.si_ty; incoming = []; pname = si.si_name }
@@ -118,12 +123,18 @@ let run_func (f : Ir.func) : int =
       | _ -> v
     in
     let deleted : (Ir.vid, unit) Hashtbl.t = Hashtbl.create 64 in
-    let rec rename bid (current : (Ir.vid * Ir.value) list) =
-      let blk = Ir.block f bid in
-      let current = ref current in
-      let set_current slot v = current := (slot, v) :: !current in
+    (* reaching definition of each slot along the dominator-tree path:
+       [Hashtbl.add] shadows, and leaving a block removes what it added *)
+    let current : (Ir.vid, Ir.value) Hashtbl.t = Hashtbl.create 16 in
+    let rec rename bid =
+      let blk = Hashtbl.find blocks bid in
+      let pushed = ref [] in
+      let set_current slot v =
+        Hashtbl.add current slot v;
+        pushed := slot :: !pushed
+      in
       let get_current slot ty =
-        match List.assoc_opt slot !current with
+        match Hashtbl.find_opt current slot with
         | Some v -> v
         | None -> Ir.Vundef ty
       in
@@ -176,7 +187,7 @@ let run_func (f : Ir.func) : int =
       (* feed phi operands of successors *)
       List.iter
         (fun succ ->
-          match Ir.block_opt f succ with
+          match Hashtbl.find_opt blocks succ with
           | None -> ()
           | Some sblk ->
             List.iter
@@ -189,9 +200,10 @@ let run_func (f : Ir.func) : int =
               sblk.phis)
         (Ir.successors f blk);
       (* recurse over dominator-tree children *)
-      List.iter (fun child -> rename child !current) (Dom.children tree bid)
+      List.iter rename (Dom.children tree bid);
+      List.iter (Hashtbl.remove current) !pushed
     in
-    rename f.fentry [];
+    rename f.fentry;
     Hashtbl.length slots
   end
 

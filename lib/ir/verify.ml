@@ -16,15 +16,16 @@ let check_func ?(ssa = false) (f : Ir.func) : violation list =
   let errs = ref [] in
   let err fmt = Fmt.kstr (fun m -> errs := { vfunc = f.fname; vmsg = m } :: !errs) fmt in
   let block_ids = List.map (fun b -> b.Ir.bbid) f.blocks in
+  let known = Hashtbl.create (List.length block_ids) in
+  List.iter (fun bid -> Hashtbl.replace known bid ()) block_ids;
   (* unique block ids *)
-  if List.length block_ids <> List.length (List.sort_uniq compare block_ids) then
-    err "duplicate block ids";
-  if not (List.mem f.fentry block_ids) then err "entry block missing";
+  if List.length block_ids <> Hashtbl.length known then err "duplicate block ids";
+  if not (Hashtbl.mem known f.fentry) then err "entry block missing";
   (* branch targets exist *)
   List.iter
     (fun b ->
       List.iter
-        (fun t -> if not (List.mem t block_ids) then err "b%d: branch to unknown b%d" b.Ir.bbid t)
+        (fun t -> if not (Hashtbl.mem known t) then err "b%d: branch to unknown b%d" b.Ir.bbid t)
         (Ir.succs_of_term b.Ir.termin))
     f.blocks;
   (* unique value ids *)
@@ -44,29 +45,34 @@ let check_func ?(ssa = false) (f : Ir.func) : violation list =
           end)
         b.Ir.instrs)
     f.blocks;
-  (* all uses defined *)
-  let check_use where v =
+  (* all uses defined; a message is formatted only for a failing use *)
+  let check_use v on_undefined =
     match v with
-    | Ir.Vreg id ->
-      if not (Hashtbl.mem def_ids id) then err "%s: use of undefined %%%d" where id
+    | Ir.Vreg id when not (Hashtbl.mem def_ids id) -> on_undefined id
     | _ -> ()
   in
   List.iter
     (fun b ->
       List.iter
         (fun (p : Ir.phi) ->
-          List.iter (fun (_, v) -> check_use (Fmt.str "phi %%%d" p.pid) v) p.incoming)
+          List.iter
+            (fun (_, v) ->
+              check_use v (fun id -> err "phi %%%d: use of undefined %%%d" p.pid id))
+            p.incoming)
         b.Ir.phis;
       List.iter
         (fun i ->
-          List.iter (fun v -> check_use (Fmt.str "instr %%%d" i.Ir.iid) v)
+          List.iter
+            (fun v ->
+              check_use v (fun id -> err "instr %%%d: use of undefined %%%d" i.Ir.iid id))
             (Ir.operands_of_instr i))
         b.Ir.instrs;
-      List.iter (fun v -> check_use (Fmt.str "term of b%d" b.Ir.bbid) v)
+      List.iter
+        (fun v -> check_use v (fun id -> err "term of b%d: use of undefined %%%d" b.Ir.bbid id))
         (Ir.operands_of_term b.Ir.termin))
     f.blocks;
   if ssa then begin
-    let tree = Dom.compute f in
+    let dominates = Dom.dominance_oracle (Dom.compute f) in
     let preds_tbl = Ir.predecessors f in
     (* phi arity: one incoming per predecessor *)
     List.iter
@@ -101,7 +107,7 @@ let check_func ?(ssa = false) (f : Ir.func) : violation list =
           | None -> true (* phi defs precede all instrs in the block *)
           | Some def_pos -> def_pos < use_pos
         end
-        else Dom.dominates tree def_block use_block
+        else dominates def_block use_block
     in
     List.iter
       (fun b ->

@@ -102,8 +102,9 @@ let value_pts t (f : Ssair.Ir.func) (v : Ssair.Ir.value) : Tset.t =
   | Ssair.Ir.Vstr s -> Tset.singleton { Target.node = Node.Nstr s; off = Offset.Byte 0 }
   | Ssair.Ir.Vint _ | Ssair.Ir.Vfloat _ | Ssair.Ir.Vundef _ -> Tset.empty
 
-(** One propagation pass over an instruction; returns true on any change. *)
-let transfer t (f : Ssair.Ir.func) (i : Ssair.Ir.instr) : bool =
+(** One propagation pass over an instruction; returns true on any change.
+    [funcs] is {!Ssair.Ir.func_table} of the analyzed program. *)
+let transfer t funcs (f : Ssair.Ir.func) (i : Ssair.Ir.instr) : bool =
   let env = t.prog.Ssair.Ir.env in
   let changed = ref false in
   let ( <+ ) k s = if pts_add t k s then changed := true in
@@ -153,7 +154,7 @@ let transfer t (f : Ssair.Ir.func) (i : Ssair.Ir.instr) : bool =
     end
   | Ssair.Ir.Unop _ | Ssair.Ir.Annotation _ -> ()
   | Ssair.Ir.Call { callee; args; rty } -> (
-    match Ssair.Ir.find_func t.prog callee with
+    match Hashtbl.find_opt funcs callee with
     | Some g ->
       (* bind arguments to parameters *)
       List.iteri
@@ -198,6 +199,7 @@ let transfer_phis t (f : Ssair.Ir.func) (b : Ssair.Ir.block) : bool =
 (** Run the analysis to fixpoint. *)
 let analyze (prog : Ssair.Ir.program) : t =
   let t = { pts = Hashtbl.create 256; heap = Hashtbl.create 64; prog } in
+  let funcs = Ssair.Ir.func_table prog in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -206,7 +208,7 @@ let analyze (prog : Ssair.Ir.program) : t =
         List.iter
           (fun b ->
             if transfer_phis t f b then changed := true;
-            List.iter (fun i -> if transfer t f i then changed := true) b.Ssair.Ir.instrs;
+            List.iter (fun i -> if transfer t funcs f i then changed := true) b.Ssair.Ir.instrs;
             if transfer_term t f b then changed := true)
           f.Ssair.Ir.blocks)
       prog.Ssair.Ir.funcs

@@ -57,7 +57,7 @@ let prepare_source ?(file = "<input>") (src : string) : prepared =
             ignore (Ssair.Mem2reg.run ir);
             ir)
       in
-      (match Ssair.Verify.check_program ~ssa:true ir with
+      (match Telemetry.span "verify" (fun () -> Ssair.Verify.check_program ~ssa:true ir) with
       | [] -> ()
       | v :: _ ->
         Loc.error Loc.dummy "internal IR verification failed: %s" v.Ssair.Verify.vmsg);
@@ -120,6 +120,7 @@ let stage_absint ?(config = Config.default) ?cache (p : prepared) : Absint.t opt
           | Some c ->
             Some
               (fun ~fname:_ ~inputs_digest (compute : unit -> Absint.func_summary) ->
+                let inputs_digest = Lazy.force inputs_digest in
                 match
                   (Cache.find c ~ns:"absint" ~key:inputs_digest
                     : Absint.func_summary option)

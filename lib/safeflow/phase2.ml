@@ -21,10 +21,17 @@ let dealloc_functions = [ "shmdt"; "shmctl"; "free" ]
 
 (* -- Affine abstraction of integer SSA values -------------------------------- *)
 
+(* CFG views read by the dominating-constraint climb *)
+type cfg = {
+  blocks : (Ssair.Ir.bid, Ssair.Ir.block) Hashtbl.t;  (* [Ssair.Ir.block_table] *)
+  preds : (Ssair.Ir.bid, Ssair.Ir.bid list) Hashtbl.t;
+  dom : Ssair.Dom.tree;
+}
+
 type affine_ctx = {
   func : Ssair.Ir.func;
   defs : (Ssair.Ir.vid, Ssair.Ir.def_site) Hashtbl.t;
-  dom : Ssair.Dom.tree;
+  cfg : cfg Lazy.t;  (* built on first use: most functions never query it *)
   memo : (Ssair.Ir.vid, Omega.Linexpr.t option) Hashtbl.t;
   mutable visiting : Ssair.Ir.vid list;  (* cycle guard: phis under expansion *)
   unknowns : (Ssair.Ir.value, string) Hashtbl.t;
@@ -36,7 +43,13 @@ let mk_affine_ctx f =
   {
     func = f;
     defs = Ssair.Ir.def_table f;
-    dom = Ssair.Dom.compute f;
+    cfg =
+      lazy
+        {
+          blocks = Ssair.Ir.block_table f;
+          preds = Ssair.Ir.predecessors f;
+          dom = Ssair.Dom.compute f;
+        };
     memo = Hashtbl.create 32;
     visiting = [];
     unknowns = Hashtbl.create 4;
@@ -156,7 +169,7 @@ let rec cond_constraints ctx id pol depth : Omega.cstr list =
         let classify (ba, va) (br, vr) =
           (* does [ba] branch on [va] with the phi block as the
              short-circuit target? *)
-          match ((Ssair.Ir.block ctx.func ba).Ssair.Ir.termin, va) with
+          match ((Hashtbl.find (Lazy.force ctx.cfg).blocks ba).Ssair.Ir.termin, va) with
           | Ssair.Ir.Cbr (Ssair.Ir.Vreg c, tb, eb), Ssair.Ir.Vreg vc
             when vc = c && tb <> eb ->
             if eb = pblk && tb = br then Some (`And, c, vr)
@@ -193,17 +206,17 @@ let rec cond_constraints ctx id pol depth : Omega.cstr list =
     a successor whose only predecessor is the branching block (edge
     dominance). *)
 let dominating_constraints ctx bid : Omega.cstr list =
-  let preds = Ssair.Ir.predecessors ctx.func in
+  let cfg = Lazy.force ctx.cfg in
   let single_pred blk from =
-    match Hashtbl.find_opt preds blk with Some [ p ] -> p = from | _ -> false
+    match Hashtbl.find_opt cfg.preds blk with Some [ p ] -> p = from | _ -> false
   in
   let rec climb child acc =
-    match Ssair.Dom.idom ctx.dom child with
+    match Ssair.Dom.idom cfg.dom child with
     | None -> acc
     | Some parent when parent = child -> acc
     | Some parent ->
       let acc =
-        match (Ssair.Ir.block ctx.func parent).Ssair.Ir.termin with
+        match (Hashtbl.find cfg.blocks parent).Ssair.Ir.termin with
         | Ssair.Ir.Cbr (Ssair.Ir.Vreg c, tb, eb) when tb <> eb -> (
           let polarity =
             if child = tb && single_pred child parent then Some true
@@ -400,6 +413,8 @@ let shm_accessors (prog : Ssair.Ir.program) (p1 : Phase1.t) : (string, unit) Has
   direct
 
 let check_p1 st (f : Ssair.Ir.func) accessors =
+  (* only a deallocation in [main] walks the CFG *)
+  let blocks = lazy (Ssair.Ir.block_table f) in
   List.iter
     (fun (b : Ssair.Ir.block) ->
       List.iteri
@@ -442,7 +457,7 @@ let check_p1 st (f : Ssair.Ir.func) accessors =
                 let rec reach bid =
                   if not (Hashtbl.mem seen bid) then begin
                     Hashtbl.replace seen bid ();
-                    match Ssair.Ir.block_opt f bid with
+                    match Hashtbl.find_opt (Lazy.force blocks) bid with
                     | Some blk -> List.iter reach (Ssair.Ir.successors f blk)
                     | None -> ()
                   end
@@ -453,7 +468,7 @@ let check_p1 st (f : Ssair.Ir.func) accessors =
                     (fun bid () acc ->
                       acc
                       ||
-                      match Ssair.Ir.block_opt f bid with
+                      match Hashtbl.find_opt (Lazy.force blocks) bid with
                       | Some blk -> List.exists instr_touches_shm blk.Ssair.Ir.instrs
                       | None -> false)
                     seen false

@@ -99,8 +99,8 @@ type state = {
   warnings : (Loc.t * string, Report.warning) Hashtbl.t;
   brinfos : (string, brinfo) Hashtbl.t;
   fidx : (string, Ssair.Ir.func) Hashtbl.t;
-      (** function index — [Ssair.Ir.find_func] is a linear scan.
-          First occurrence wins, mirroring [find_func]. *)
+      (** [Ssair.Ir.func_table prog]: first occurrence wins, as in
+          [Ssair.Ir.find_func], which is a linear scan *)
   noncore_sockets : (string, unit) Hashtbl.t;
 }
 
@@ -413,11 +413,6 @@ type result = {
     phase-3 cache tier by {!Driver}). *)
 let make_state ~(config : Config.t) ?absint (prog : Ssair.Ir.program) (shm : Shm.t)
     (p1 : Phase1.t) (pts : Pointsto.t) : state =
-  let fidx = Hashtbl.create 64 in
-  List.iter
-    (fun (f : Ssair.Ir.func) ->
-      if not (Hashtbl.mem fidx f.Ssair.Ir.fname) then Hashtbl.add fidx f.Ssair.Ir.fname f)
-    prog.Ssair.Ir.funcs;
   let st =
     {
       prog;
@@ -431,7 +426,7 @@ let make_state ~(config : Config.t) ?absint (prog : Ssair.Ir.program) (shm : Shm
       pairs = Hashtbl.create 32;
       warnings = Hashtbl.create 32;
       brinfos = Hashtbl.create 16;
-      fidx;
+      fidx = Ssair.Ir.func_table prog;
       noncore_sockets = Hashtbl.create 4;
     }
   in

@@ -164,9 +164,6 @@ type t = {
   finfos : (string, finfo) Hashtbl.t;
   pairs_seen : Intern.Packed.t;  (** packed (fname id lsl 20) lor ctx id *)
   pending : (Ssair.Ir.func * int) Queue.t;  (** discovered, to walk *)
-  funcs_by_name : (string, Ssair.Ir.func) Hashtbl.t;
-      (** [Ssair.Ir.find_func] is a linear scan; call sites resolve
-          callees once per visit, so index the program up front *)
   p1_regs : (string, (Ssair.Ir.vid, Phase1.Rset.t) Hashtbl.t) Hashtbl.t;
       (** phase-1 register facts re-bucketed per function: the walk's
           per-instruction lookups hash an int instead of a
@@ -226,7 +223,6 @@ let c_drain_edges_per_sec = Telemetry.counter "vf.drain_edges_per_sec"
 let h_pair_build = Telemetry.histogram "pair.build"
 
 let create st =
-  let funcs_by_name = st.Phase3.fidx in
   let whys = Intern.create 64 in
   Array.iter (fun w -> ignore (Intern.intern whys w)) static_whys;
   (* size the flat stores from the function count so typical runs never
@@ -259,7 +255,6 @@ let create st =
     st.Phase3.pts ();
   {
     st;
-    funcs_by_name;
     p1_regs;
     pts_regs;
     cmemos = Hashtbl.create 256;
@@ -569,7 +564,7 @@ let why_ext g callee =
     entities, and the formatted reasons; a defined callee's pair is
     discovered here. *)
 let compute_cmemo g self_cid callee : cmemo =
-  match Hashtbl.find_opt g.funcs_by_name callee with
+  match Hashtbl.find_opt g.st.Phase3.fidx callee with
   | Some gfn ->
     let gfid = Intern.intern g.strs gfn.Ssair.Ir.fname in
     let gcid = callee_cid g self_cid gfn in

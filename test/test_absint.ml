@@ -243,6 +243,81 @@ let test_generic_simplex_discharges () =
   Alcotest.(check int) "none failed" 0 b.Phase2.bs_failed;
   Alcotest.(check bool) "Omega queries avoided" true (b.Phase2.bs_omega_avoided >= 1)
 
+(* -- memo contract --------------------------------------------------------- *)
+
+(* one unknown read guarding a deep if-nest, with a helper called on the
+   way in: the deep shape of the benchmark, small enough for a unit test *)
+let nested_ifs_src depth =
+  let b = Buffer.create (depth * 48) in
+  Buffer.add_string b
+    "extern int read_sensor();\n\
+     int scale(int v) { return v * 2; }\n\
+     int main() {\n  int x;\n  int out;\n  x = scale(read_sensor());\n  out = 0;\n";
+  for d = 1 to depth do
+    Printf.bprintf b "if (x > %d) { out = %d;\n" d d
+  done;
+  for _ = 1 to depth do
+    Buffer.add_string b "}\n"
+  done;
+  Buffer.add_string b "  return out;\n}\n";
+  Buffer.contents b
+
+let test_memo_once_per_function () =
+  let p = Driver.prepare_source ~file:"nest.c" (nested_ifs_src 300) in
+  let calls = Hashtbl.create 4 in
+  let memo ~fname ~inputs_digest:_ compute =
+    Hashtbl.replace calls fname (1 + Option.value ~default:0 (Hashtbl.find_opt calls fname));
+    compute ()
+  in
+  let ai = Absint.analyze ~memo p.Driver.ir in
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ ": memo calls") 1
+        (Option.value ~default:0 (Hashtbl.find_opt calls name)))
+    [ "main"; "scale" ];
+  Alcotest.(check bool) "same views as without a memo" true
+    (Absint.summary_views ai = Absint.summary_views (Absint.analyze p.Driver.ir))
+
+let test_lazy_digest () =
+  let p = Driver.prepare_source ~file:"nest.c" (nested_ifs_src 20) in
+  let seen = ref [] in
+  let memo ~fname:_ ~inputs_digest compute =
+    seen := inputs_digest :: !seen;
+    compute ()
+  in
+  ignore (Absint.analyze ~memo p.Driver.ir);
+  Alcotest.(check bool) "memo called" true (!seen <> []);
+  List.iter
+    (fun d -> Alcotest.(check bool) "digest never forced" false (Lazy.is_val d))
+    !seen;
+  (* forced, it is the hex digest the cache keys on *)
+  List.iter
+    (fun d -> Alcotest.(check int) "hex digest" 32 (String.length (Lazy.force d)))
+    !seen
+
+let test_cached_views_identical () =
+  List.iter
+    (fun name ->
+      let src =
+        let ic = open_in_bin (find_system name) in
+        let s = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        s
+      in
+      let p = Driver.prepare_source ~file:name src in
+      let plain = Absint.summary_views (Absint.analyze p.Driver.ir) in
+      let cache = Cache.create () in
+      let views () =
+        match Driver.stage_absint ~cache p with
+        | Some ai -> Absint.summary_views ai
+        | None -> Alcotest.fail "absint disabled by default config"
+      in
+      let cold = views () in
+      let warm = views () in
+      Alcotest.(check bool) (name ^ ": cold cache = no cache") true (cold = plain);
+      Alcotest.(check bool) (name ^ ": warm cache = no cache") true (warm = plain))
+    all_systems
+
 let () =
   Alcotest.run "absint"
     [ ( "interval lattice",
@@ -260,4 +335,8 @@ let () =
           Alcotest.test_case "five systems: on ⊆ off fingerprints" `Slow
             test_systems_fingerprint_subset;
           Alcotest.test_case "generic_simplex discharges via ranges" `Quick
-            test_generic_simplex_discharges ] ) ]
+            test_generic_simplex_discharges ] );
+      ( "memo",
+        [ Alcotest.test_case "one call per function" `Quick test_memo_once_per_function;
+          Alcotest.test_case "digest stays lazy" `Quick test_lazy_digest;
+          Alcotest.test_case "cached views identical" `Quick test_cached_views_identical ] ) ]

@@ -442,6 +442,166 @@ let prop_mem2reg_preserves_semantics =
       ignore (Ssair.Mem2reg.run post);
       run_int pre = run_int post)
 
+(* -- Lookup indexes and linear-time lowering ---------------------------- *)
+
+let read_system name =
+  let path =
+    List.find Sys.file_exists
+      [ "../../../systems/" ^ name; "../../systems/" ^ name; "systems/" ^ name ]
+  in
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let indexed_programs () =
+  List.map
+    (fun name -> (name, compile_ssa (read_system name)))
+    [ "figure2.c"; "ip_controller.c"; "double_ip.c"; "car_follow.c"; "generic_simplex.c" ]
+  @ [ ("synth-64", compile_ssa (Safeflow.Synth.of_size 64)) ]
+
+let same_opt what a b =
+  match (a, b) with
+  | None, None -> ()
+  | Some x, Some y when x == y -> ()
+  | _ -> Alcotest.failf "%s: index and linear lookup disagree" what
+
+let test_indexes_agree () =
+  List.iter
+    (fun (name, (ir : Ssair.Ir.program)) ->
+      let funcs = Ssair.Ir.func_table ir in
+      List.iter
+        (fun (f : Ssair.Ir.func) ->
+          same_opt (name ^ ":" ^ f.fname) (Hashtbl.find_opt funcs f.fname)
+            (Ssair.Ir.find_func ir f.fname);
+          let blocks = Ssair.Ir.block_table f in
+          let max_bid = List.fold_left (fun m b -> max m b.Ssair.Ir.bbid) 0 f.blocks in
+          List.iter
+            (fun bid ->
+              same_opt
+                (Fmt.str "%s:%s:b%d" name f.fname bid)
+                (Hashtbl.find_opt blocks bid) (Ssair.Ir.block_opt f bid))
+            (max_bid + 1 :: -1 :: List.map (fun b -> b.Ssair.Ir.bbid) f.blocks))
+        ir.funcs;
+      same_opt (name ^ ": absent function") (Hashtbl.find_opt funcs "no_such_function")
+        (Ssair.Ir.find_func ir "no_such_function"))
+    (indexed_programs ())
+
+let test_indexes_first_wins () =
+  let ir = compile "int f() { return 1; } int g(int a) { return a + 2; }" in
+  let f = Option.get (Ssair.Ir.find_func ir "f") in
+  let g = Option.get (Ssair.Ir.find_func ir "g") in
+  let dup = { ir with Ssair.Ir.funcs = ir.funcs @ [ { g with Ssair.Ir.fname = "f" } ] } in
+  Alcotest.(check bool) "first function named f" true
+    (Hashtbl.find (Ssair.Ir.func_table dup) "f" == f);
+  let entry = List.hd g.blocks in
+  let shadow = { entry with Ssair.Ir.termin = Ssair.Ir.Unreachable } in
+  let g2 = { g with Ssair.Ir.blocks = g.blocks @ [ shadow ] } in
+  Alcotest.(check bool) "first block with the id" true
+    (Hashtbl.find (Ssair.Ir.block_table g2) entry.bbid == entry)
+
+let test_dominance_oracle () =
+  List.iter
+    (fun (name, (ir : Ssair.Ir.program)) ->
+      List.iter
+        (fun (f : Ssair.Ir.func) ->
+          let t = Ssair.Dom.compute f in
+          let dominates = Ssair.Dom.dominance_oracle t in
+          let ids = -7 :: List.map (fun b -> b.Ssair.Ir.bbid) f.blocks in
+          List.iter
+            (fun a ->
+              List.iter
+                (fun b ->
+                  if dominates a b <> Ssair.Dom.dominates t a b then
+                    Alcotest.failf "%s:%s: dominates b%d b%d disagrees" name f.fname a b)
+                ids)
+            ids)
+        ir.funcs)
+    (indexed_programs ())
+
+let nested_ifs depth =
+  let b = Buffer.create (depth * 48) in
+  Buffer.add_string b "int main() {\n  int x;\n  int out;\n  x = 7;\n  out = 0;\n";
+  for d = 1 to depth do
+    Printf.bprintf b "if (x > %d) { out = out + %d;\n" d d
+  done;
+  for _ = 1 to depth do
+    Buffer.add_string b "}\n"
+  done;
+  Buffer.add_string b "  return out;\n}\n";
+  Buffer.contents b
+
+(* lowering numbers instructions as it emits them, so within a block
+   source order is ascending id order *)
+let check_source_order what (ir : Ssair.Ir.program) =
+  List.iter
+    (fun (f : Ssair.Ir.func) ->
+      let emitted =
+        {
+          f with
+          Ssair.Ir.blocks =
+            List.map
+              (fun (b : Ssair.Ir.block) ->
+                {
+                  b with
+                  Ssair.Ir.instrs =
+                    List.sort (fun x y -> compare x.Ssair.Ir.iid y.Ssair.Ir.iid) b.instrs;
+                })
+              f.blocks;
+        }
+      in
+      Alcotest.(check string)
+        (what ^ ": " ^ f.fname ^ " in emission order")
+        (Ssair.Ir.func_to_string emitted) (Ssair.Ir.func_to_string f))
+    ir.funcs
+
+let test_lowering_source_order () =
+  List.iter
+    (fun (what, src) ->
+      let ir = compile src in
+      check_source_order what ir;
+      ignore (Ssair.Mem2reg.run ir);
+      no_violations ~ssa:true ir)
+    [ ("nested-if 300", nested_ifs 300); ("synth-384", Safeflow.Synth.of_size 384) ]
+
+let test_annotation_load_typed () =
+  let ir =
+    compile
+      "int main() { char c; long n; double d; c = 1; n = 2; d = 3.0;\n\
+       /*** SafeFlow Annotation assert(safe(c)) assert(safe(n)) assert(safe(d)) ***/\n\
+       return 0; }"
+  in
+  let f = Option.get (Ssair.Ir.find_func ir "main") in
+  let instrs = Ssair.Ir.all_instrs f in
+  let slot_ty = Hashtbl.create 4 in
+  List.iter
+    (fun i ->
+      match i.Ssair.Ir.idesc with
+      | Ssair.Ir.Alloca { aty; _ } -> Hashtbl.replace slot_ty i.Ssair.Ir.iid aty
+      | _ -> ())
+    instrs;
+  let loads = Hashtbl.create 4 in
+  List.iter
+    (fun i ->
+      match i.Ssair.Ir.idesc with
+      | Ssair.Ir.Load { ptr = Ssair.Ir.Vreg slot; lty } ->
+        Hashtbl.replace loads i.Ssair.Ir.iid (slot, lty)
+      | _ -> ())
+    instrs;
+  let checked =
+    List.filter_map
+      (fun i ->
+        match i.Ssair.Ir.idesc with
+        | Ssair.Ir.Annotation { aval = Some (Ssair.Ir.Vreg id); _ } ->
+          let slot, lty = Hashtbl.find loads id in
+          Alcotest.(check bool) "load typed by its slot" true
+            (Ty.equal lty (Hashtbl.find slot_ty slot));
+          Some lty
+        | _ -> None)
+      instrs
+  in
+  Alcotest.(check int) "three asserted loads" 3 (List.length checked)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "ir"
@@ -450,7 +610,13 @@ let () =
           Alcotest.test_case "if blocks" `Quick test_lower_if_blocks;
           Alcotest.test_case "annotations kept" `Quick test_lower_annotations_kept;
           Alcotest.test_case "switch" `Quick test_lower_switch;
-          Alcotest.test_case "pointer gep" `Quick test_lower_pointer_gep ] );
+          Alcotest.test_case "pointer gep" `Quick test_lower_pointer_gep;
+          Alcotest.test_case "source order at scale" `Quick test_lowering_source_order;
+          Alcotest.test_case "annotation load typed" `Quick test_annotation_load_typed ] );
+      ( "indexes",
+        [ Alcotest.test_case "agree with linear lookups" `Quick test_indexes_agree;
+          Alcotest.test_case "first occurrence wins" `Quick test_indexes_first_wins;
+          Alcotest.test_case "dominance oracle" `Quick test_dominance_oracle ] );
       ( "dominators",
         [ Alcotest.test_case "diamond" `Quick test_dom_diamond;
           Alcotest.test_case "frontier diamond" `Quick test_dom_frontier_diamond;
