@@ -10,11 +10,9 @@ type t = {
   slot_of : Ir.bid -> int;  (** block id → canonical dense slot, -1 if unknown *)
   slot_bid : int array;  (** dense slot → block id *)
   ctrl_slots : int list array;
-      (** [controls] on dense slots, for array-based closure walks *)
+      (** [controls] on dense slots, for array-based walks *)
 }
 
 val compute : Ir.func -> t
 
 val deps_of : t -> Ir.bid -> Ir.bid list
-
-val transitive_deps : t -> Ir.bid -> Ir.bid list

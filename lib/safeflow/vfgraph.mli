@@ -7,8 +7,18 @@
     visits each pair {e once}:
     on first discovery it builds the pair's value-flow successor edges
     (SSA def-use, load/store edges resolved by {!Pointsto}, call/return
-    edges, control-dependence edges from the cached CDGs) and thereafter
-    propagates newly-tainted entities along out-edges from a worklist.
+    edges) and thereafter propagates newly-tainted entities along
+    out-edges from a worklist.  Control dependence costs one marker edge
+    per undecided branch: when the branch condition is tainted, the
+    marker is expanded by a walk over the direct edges of the function's
+    CDG ({!Phase3.brinfo}), which ctrl-taints the control targets
+    (phis, stored-to objects, call arguments, returns) of every block it
+    reaches.  The walk stops at blocks already expanded in the same
+    pair, so each block is expanded at most once per pair and the graph
+    stays linear in the program, where wiring every branch's transitive
+    closure was quadratic in nesting depth.  Expansion fires the targets
+    in exactly the order the closure's edges would, so first-win origins
+    and witness paths are unchanged.
     Entities and monitoring contexts are interned to dense integer ids
     ({!Intern}), so taint membership is an array lookup.
 

@@ -138,6 +138,48 @@ let test_control_paths () =
         Alcotest.failf "control dep %s: empty witness" d.Report.d_sink)
     ctrl
 
+(* -- witness order -------------------------------------------------------------- *)
+
+(* Which reason and parent an entity records is decided by the order in
+   which taint first reaches it, and the reports print the resulting
+   witness paths.  The fixtures under golden/ are the CLI's own outputs
+   ([analyze FILE > FILE.txt], [--save-findings], [--sarif]), produced
+   by running it on the bare file name, so the file label is the only
+   path in them; the programs are a 40-deep nest of the benchmark's deep
+   shape and the mixed loop nest of {!Nests}, and
+   [Synth.context_explosion] at depth 4.  The SARIF tool version is masked so a release bump does
+   not invalidate them. *)
+let golden_programs = [ "deep40.c"; "mixed.c"; "ctx4.c" ]
+
+(* under [dune runtest] the fixtures are copied next to the test *)
+let golden name =
+  match List.find_opt Sys.file_exists [ "golden/" ^ name; "test/golden/" ^ name ] with
+  | Some p -> read_file p
+  | None -> Alcotest.fail ("cannot locate golden/" ^ name)
+
+let mask_tool_version s =
+  let key = "\"driver\":{\"name\":\"safeflow\",\"version\":\"" in
+  match Astring.String.find_sub ~sub:key s with
+  | None -> s
+  | Some i ->
+    let start = i + String.length key in
+    let stop = String.index_from s start '"' in
+    String.sub s 0 start ^ "<version>" ^ String.sub s stop (String.length s - stop)
+
+let test_golden name () =
+  let a = Driver.analyze ~file:name (golden name) in
+  let r = a.Driver.report in
+  let ctx = Fingerprint.ctx_of_program a.Driver.prepared.Driver.ir in
+  let base = Filename.remove_extension name in
+  Alcotest.(check string) "text report" (golden (base ^ ".txt")) (Fmt.str "%a@." Report.pp r);
+  Alcotest.(check string) "findings file" (golden (base ^ ".findings"))
+    (Diffreport.to_string (Diffreport.entries_of_report ctx ~file:name r));
+  Alcotest.(check string) "SARIF"
+    (mask_tool_version (golden (base ^ ".sarif")))
+    (mask_tool_version
+       (Sarif.to_string ~tool_version:Version.tool
+          [ { Sarif.i_file = name; i_report = r; i_ctx = ctx } ]))
+
 let () =
   Alcotest.run "provenance"
     [ ( "witness paths",
@@ -146,4 +188,7 @@ let () =
           system_files );
       ( "pins",
         [ Alcotest.test_case "figure2 witness" `Quick test_figure2_pin;
-          Alcotest.test_case "control-only witnesses" `Quick test_control_paths ] ) ]
+          Alcotest.test_case "control-only witnesses" `Quick test_control_paths ] );
+      ( "witness order",
+        List.map (fun name -> Alcotest.test_case name `Quick (test_golden name)) golden_programs )
+    ]
