@@ -162,6 +162,7 @@ type func_summary = {
 
 type t = {
   prog : Ssair.Ir.program;
+  bodies : (string, Ssair.Ir.func) Hashtbl.t;  (* the analyzed body per name *)
   summaries : (string, func_summary) Hashtbl.t;
   envs : (string, (key, Itv.t) Hashtbl.t) Hashtbl.t;  (* s_env as a table *)
 }
@@ -665,18 +666,19 @@ let summary_repr s =
   Buffer.contents b
 
 let analyze ?memo (prog : Ir.program) : t =
-  (* Last definition wins, unlike [Ir.func_table]: the frontend accepts a
-     repeated function name, and this choice decides which body a call's
-     summary and its cache key come from, so it must not change. *)
-  let defined = Hashtbl.create 16 in
-  List.iter (fun f -> Hashtbl.replace defined f.Ir.fname f) prog.Ir.funcs;
-  (* each function's defined callees, computed once per body (a repeated
-     name is another body, hence the physical comparison) *)
+  (* One body per name, the first, as in [Ir.func_table]: the frontend
+     accepts a repeated function name, and calls resolve to the first
+     body ([Ir.find_func]), so a later body is never called.  It gets no
+     summary and its call sites constrain nothing; {!query_ctx} gives it
+     no facts. *)
+  let defined = Ir.func_table prog in
+  let bodies = List.filter (fun f -> Hashtbl.find defined f.Ir.fname == f) prog.Ir.funcs in
+  (* each function's defined callees, computed once *)
   let callee_lists = Hashtbl.create 16 in
   let callees_of f =
     match Hashtbl.find_opt callee_lists f.Ir.fname with
-    | Some (g, cs) when g == f -> cs
-    | _ ->
+    | Some cs -> cs
+    | None ->
       let cs =
         List.filter_map
           (fun (i : Ir.instr) ->
@@ -686,10 +688,10 @@ let analyze ?memo (prog : Ir.program) : t =
           (Ir.all_instrs f)
         |> List.sort_uniq compare
       in
-      Hashtbl.replace callee_lists f.Ir.fname (f, cs);
+      Hashtbl.replace callee_lists f.Ir.fname cs;
       cs
   in
-  let names = List.map (fun f -> f.Ir.fname) prog.Ir.funcs in
+  let names = List.map (fun f -> f.Ir.fname) bodies in
   let succs n =
     match Hashtbl.find_opt defined n with Some f -> callees_of f | None -> []
   in
@@ -747,7 +749,7 @@ let analyze ?memo (prog : Ir.program) : t =
         (fun c ->
           Hashtbl.replace ncallers c (1 + Option.value ~default:0 (Hashtbl.find_opt ncallers c)))
         (callees_of f))
-    prog.Ir.funcs;
+    bodies;
   (* pass 2, top-down: join call-site argument ranges into parameters *)
   let summaries = Hashtbl.create 16 in
   let envs = Hashtbl.create 16 in
@@ -816,7 +818,7 @@ let analyze ?memo (prog : Ir.program) : t =
          Hashtbl.replace envs n env;
          List.iter (record_call env) (Ir.all_instrs f)))
     (Dataflow.Scc.topological scc);
-  { prog; summaries; envs }
+  { prog; bodies = defined; summaries; envs }
 
 (* -- Accessors ----------------------------------------------------------- *)
 
@@ -844,15 +846,20 @@ type qctx = {
 }
 
 let query_ctx t (f : Ir.func) =
+  (* a later body with a repeated name was not analyzed: the facts under
+     its name are another body's *)
+  let analyzed =
+    match Hashtbl.find_opt t.bodies f.Ir.fname with Some g -> g == f | None -> false
+  in
   let env =
     match Hashtbl.find_opt t.envs f.Ir.fname with
-    | Some e -> e
-    | None -> Hashtbl.create 0
+    | Some e when analyzed -> e
+    | _ -> Hashtbl.create 0
   in
   let params =
     match Hashtbl.find_opt t.summaries f.Ir.fname with
-    | Some s -> s.s_params
-    | None -> []
+    | Some s when analyzed -> s.s_params
+    | _ -> []
   in
   let ctx =
     {

@@ -77,7 +77,8 @@ val analyze :
     (fname:string -> inputs_digest:string Lazy.t -> (unit -> func_summary) -> func_summary) ->
   Ssair.Ir.program ->
   t
-(** [analyze prog] runs both interprocedural passes.  [~memo] is called
+(** [analyze prog] runs both interprocedural passes over the first
+    body of each function name.  [~memo] is called
     around every per-function fixpoint with a digest of everything the
     fixpoint reads (function body, parameter ranges, callee return
     ranges); the driver uses it to back the computation with the
@@ -114,6 +115,10 @@ type qctx
     branch refinement at query sites) *)
 
 val query_ctx : t -> Ssair.Ir.func -> qctx
+(** A program may repeat a function name; only the first body is
+    analyzed (calls resolve to it), and a later body's context holds no
+    recorded ranges: queries on it see only constants and the branch
+    conditions dominating the query point. *)
 
 val range_of_value : qctx -> at:Ssair.Ir.bid -> Ssair.Ir.value -> Itv.t
 (** interval of a value as observed in block [at]: the fixpoint interval

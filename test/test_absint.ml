@@ -177,6 +177,32 @@ let test_branch_refinement_kills_branch () =
   Alcotest.(check bool) "its then arm is dead" true
     (List.exists (fun d -> d = Absint.Dead_then) dead)
 
+(* The frontend accepts a repeated function name.  Calls resolve to the
+   first body, so only that body is analyzed; the later one is never
+   called and must not borrow the first body's ranges. *)
+let test_repeated_name_first_body () =
+  let src =
+    {|
+int f(int a) { return a + 1; }
+int f(int a) { return a * 2; }
+int main() { return f(5); }
+|}
+  in
+  let p = Driver.prepare_source ~file:"dup.c" src in
+  let ai = Absint.analyze p.Driver.ir in
+  let f_ret =
+    List.find (fun (v : Absint.summary_view) -> v.Absint.sv_func = "f") (Absint.summary_views ai)
+  in
+  Alcotest.check itv "f's return is the first body's" (Itv.const 6) f_ret.Absint.sv_ret;
+  match List.filter (fun f -> f.Ssair.Ir.fname = "f") p.Driver.ir.Ssair.Ir.funcs with
+  | [ first; later ] ->
+    let param (f : Ssair.Ir.func) =
+      Option.get (Absint.range_of_sym (Absint.query_ctx ai f) ~at:f.Ssair.Ir.fentry "p_a")
+    in
+    Alcotest.check itv "first body: a from main's call" (Itv.const 5) (param first);
+    Alcotest.check itv "later body: no recorded range" Itv.top (param later)
+  | _ -> Alcotest.fail "expected two bodies named f"
+
 (* -- report-level guarantees ------------------------------------------- *)
 
 let analyze_with ~absint ?file src =
@@ -328,7 +354,8 @@ let () =
         [ Alcotest.test_case "widening terminates on counter loop" `Quick
             test_widening_terminates_on_loop;
           Alcotest.test_case "branch refinement decides clamp guard" `Quick
-            test_branch_refinement_kills_branch ] );
+            test_branch_refinement_kills_branch;
+          Alcotest.test_case "repeated name: first body" `Quick test_repeated_name_first_body ] );
       ( "reports",
         [ Alcotest.test_case "clamp control dep pruned, both engines" `Quick
             test_clamp_control_dep_pruned;
